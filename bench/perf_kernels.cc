@@ -197,6 +197,7 @@ BM_GbrtFit(benchmark::State &state)
 {
     const auto features = static_cast<std::size_t>(state.range(0));
     const auto data = gbrtBenchData(features, 800);
+    const auto before = AllocCounters::now();
     for (auto _ : state) {
         util::Rng rng(7);
         ml::GbrtParams params;
@@ -205,6 +206,7 @@ BM_GbrtFit(benchmark::State &state)
         model.fit(data, rng);
         benchmark::DoNotOptimize(model.treeCount());
     }
+    reportAllocsPerIter(state, before);
     state.counters["threads"] =
         static_cast<double>(bench::activeThreads());
 }
@@ -480,43 +482,51 @@ simdLevelFromArg(benchmark::State &state)
 }
 
 /**
- * The GBRT split scan's histogram fill over one feature column. This
- * twin pins *parity*, not speedup: the order-preserving fill is
- * scatter-bound and every dispatch level shares the sequential kernel
- * (a bucketed AVX2 variant measured ~2x slower; see simd.h). A future
- * vector specialization has to beat the scalar twin here to earn its
- * slot in the table.
+ * One candidate feature's split scan at a tree node (ml::scanCandidate):
+ * the histogram fill over the node's rows plus the prefix scan over
+ * 32 quantile bins. range(1) is the node size: 8192 rows is a wide
+ * root, 24 rows a deep node where most bins are empty and skipping them
+ * pays. The fill is scatter-bound and every dispatch level shares the
+ * sequential kernel (a bucketed AVX2 variant measured ~2x slower; see
+ * simd.h), so the simd twins pin parity; a future vector
+ * specialization has to beat the scalar twin here to earn its slot.
+ * allocs_per_iter pins the stack-buffer histogram at zero.
  */
 void
 BM_SplitScan(benchmark::State &state)
 {
     simdLevelFromArg(state);
+    const auto node_rows = static_cast<std::size_t>(state.range(1));
     constexpr std::size_t kRows = 8192;
-    constexpr std::size_t kBins = 64;
     util::Rng rng(31);
-    std::vector<std::uint8_t> bin_col(kRows);
+    ml::Dataset data({"x"});
     std::vector<double> targets(kRows);
-    std::vector<std::size_t> rows(kRows);
     for (std::size_t r = 0; r < kRows; ++r) {
-        bin_col[r] = static_cast<std::uint8_t>(
-            rng.uniformInt(0, kBins - 1));
+        data.addRow({rng.gaussian()}, 0.0);
         targets[r] = rng.gaussian();
-        rows[r] = r;
     }
-    std::vector<double> bin_sum(kBins);
-    std::vector<std::size_t> bin_count(kBins);
+    const ml::FeatureBinner binner(data, 32);
+    const std::vector<std::size_t> rows =
+        rng.sampleIndices(kRows, node_rows);
+    double sum = 0.0;
+    for (std::size_t r : rows)
+        sum += targets[r];
+    const double parent_score =
+        sum * sum / static_cast<double>(rows.size());
+    ml::TreeParams params;
+    params.minSamplesLeaf = 3;
+    const auto before = AllocCounters::now();
     for (auto _ : state) {
-        std::fill(bin_sum.begin(), bin_sum.end(), 0.0);
-        std::fill(bin_count.begin(), bin_count.end(), 0);
-        simd::splitScanHistogram(bin_col, targets, rows, bin_sum,
-                                 bin_count);
-        benchmark::DoNotOptimize(bin_sum.data());
+        benchmark::DoNotOptimize(ml::scanCandidate(
+            binner, 0, targets, rows, sum, parent_score, params));
     }
+    reportAllocsPerIter(state, before);
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kRows));
+                            static_cast<std::int64_t>(node_rows));
     simd::setLevel(simd::detectedLevel());
 }
-BENCHMARK(BM_SplitScan)->Arg(0)->Arg(1);
+BENCHMARK(BM_SplitScan)
+    ->Args({0, 8192})->Args({1, 8192})->Args({0, 24})->Args({1, 24});
 
 /**
  * KNN's per-neighbor squared Euclidean distance over a feature row.

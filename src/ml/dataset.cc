@@ -79,20 +79,6 @@ Dataset::row(std::size_t index) const
     return out;
 }
 
-double
-Dataset::target(std::size_t index) const
-{
-    CM_ASSERT(index < targets_.size());
-    return targets_[index];
-}
-
-const std::vector<double> &
-Dataset::column(std::size_t feature) const
-{
-    CM_ASSERT(feature < columns_.size());
-    return columns_[feature];
-}
-
 std::span<double>
 Dataset::mutableColumn(std::size_t feature)
 {

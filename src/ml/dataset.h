@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace cminer::ml {
@@ -75,13 +76,27 @@ class Dataset
     std::vector<double> row(std::size_t index) const;
 
     /** Target of one row. */
-    double target(std::size_t index) const;
+    double target(std::size_t index) const
+    {
+        CM_ASSERT(index < targets_.size());
+        return targets_[index];
+    }
 
     /** All targets. */
     const std::vector<double> &targets() const { return targets_; }
 
     /** One feature column, zero-copy. */
-    const std::vector<double> &column(std::size_t feature) const;
+    const std::vector<double> &column(std::size_t feature) const
+    {
+        CM_ASSERT(feature < columns_.size());
+        return columns_[feature];
+    }
+
+    /** Every feature column, in column order (zero-copy). */
+    std::span<const std::vector<double>> columns() const
+    {
+        return columns_;
+    }
 
     /**
      * Mutable span over one feature column, for in-place passes such as

@@ -112,8 +112,12 @@ DatasetView::gatherRow(std::size_t row, std::span<double> out) const
 {
     CM_ASSERT(out.size() == cols_.size());
     const std::size_t base_row = baseRow(row);
+    CM_ASSERT(base_row < base_->rowCount());
+    // Column indices were validated when the view was derived; resolve
+    // the base's column table once and index it directly.
+    const std::span<const std::vector<double>> columns = base_->columns();
     for (std::size_t f = 0; f < cols_.size(); ++f)
-        out[f] = base_->column(cols_[f])[base_row];
+        out[f] = columns[cols_[f]][base_row];
 }
 
 std::vector<double>

@@ -1,6 +1,7 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -11,27 +12,10 @@
 
 namespace cminer::ml {
 
-namespace {
-
-/** Winning (improvement, bin) of one candidate feature's split scan. */
-struct CandidateBest
-{
-    double improvement = 0.0;
-    std::size_t bin = 0;
-    bool valid = false;
-};
-
-/**
- * Best split of one feature over the node's rows via per-bin histograms.
- *
- * Depends only on this feature's bins plus the node aggregates, so the
- * result is bitwise identical whether candidates are scanned serially or
- * concurrently.
- */
 CandidateBest
 scanCandidate(const FeatureBinner &binner, std::size_t feature,
               std::span<const double> targets,
-              const std::vector<std::size_t> &rows, double sum,
+              std::span<const std::size_t> rows, double sum,
               double parent_score, const TreeParams &params)
 {
     CandidateBest best;
@@ -39,21 +23,30 @@ scanCandidate(const FeatureBinner &binner, std::size_t feature,
     const std::size_t bins = binner.binCount(feature);
     if (bins < 2)
         return best;
-    std::vector<double> bin_sum(bins, 0.0);
-    std::vector<std::size_t> bin_count(bins, 0);
-    const std::span<const std::uint8_t> bin_col =
-        binner.binColumn(feature);
+    std::array<double, 255> sum_buf;
+    std::array<std::size_t, 255> count_buf;
+    const std::span<double> bin_sum(sum_buf.data(), bins);
+    const std::span<std::size_t> bin_count(count_buf.data(), bins);
+    std::fill(bin_sum.begin(), bin_sum.end(), 0.0);
+    std::fill(bin_count.begin(), bin_count.end(), std::size_t{0});
     // Order-preserving SIMD histogram fill: bit-identical to the naive
     // scatter loop at every dispatch level.
-    simd::splitScanHistogram(bin_col, targets, rows, bin_sum, bin_count);
+    simd::splitScanHistogram(binner.binColumn(feature), targets, rows,
+                             bin_sum, bin_count);
     double left_sum = 0.0;
     std::size_t left_count = 0;
     for (std::size_t b = 0; b + 1 < bins; ++b) {
+        // An empty bin leaves the prefix unchanged, so it would score
+        // exactly its predecessor's improvement and lose the strict >.
+        if (bin_count[b] == 0)
+            continue;
         left_sum += bin_sum[b];
         left_count += bin_count[b];
         const std::size_t right_count = rows.size() - left_count;
-        if (left_count < params.minSamplesLeaf ||
-            right_count < params.minSamplesLeaf)
+        // right_count only falls as the scan moves right.
+        if (right_count < params.minSamplesLeaf)
+            break;
+        if (left_count < params.minSamplesLeaf)
             continue;
         const double right_sum = sum - left_sum;
         const double improvement =
@@ -69,8 +62,6 @@ scanCandidate(const FeatureBinner &binner, std::size_t feature,
     return best;
 }
 
-} // namespace
-
 FeatureBinner::FeatureBinner(const DatasetView &data, std::size_t max_bins)
     : rowCount_(data.rowCount())
 {
@@ -80,9 +71,23 @@ FeatureBinner::FeatureBinner(const DatasetView &data, std::size_t max_bins)
     bins_.resize(features);
 
     std::vector<double> values;
+    std::vector<double> sorted;
     for (std::size_t f = 0; f < features; ++f) {
         data.gatherColumn(f, values);
-        std::vector<double> sorted = values;
+        // NaN has no place in a sort order: it stays out of the edges
+        // and is routed to the top bin below.
+        sorted.clear();
+        for (double v : values) {
+            if (!std::isnan(v))
+                sorted.push_back(v);
+        }
+        const bool has_nan = sorted.size() < values.size();
+        if (sorted.empty()) {
+            // All-NaN column: one bin, never split on.
+            edges_[f] = {std::numeric_limits<double>::infinity()};
+            bins_[f].assign(values.size(), 0);
+            continue;
+        }
         std::sort(sorted.begin(), sorted.end());
 
         // Quantile edges; deduplicate so constant stretches collapse.
@@ -108,6 +113,13 @@ FeatureBinner::FeatureBinner(const DatasetView &data, std::size_t max_bins)
 
         bins_[f].resize(values.size());
         simd::lowerBoundBins(values, edges_[f], bins_[f]);
+        if (has_nan) {
+            const auto top = static_cast<std::uint8_t>(edges_[f].size() - 1);
+            for (std::size_t r = 0; r < values.size(); ++r) {
+                if (std::isnan(values[r]))
+                    bins_[f][r] = top;
+            }
+        }
     }
 }
 
@@ -116,14 +128,6 @@ FeatureBinner::binCount(std::size_t feature) const
 {
     CM_ASSERT(feature < edges_.size());
     return edges_[feature].size();
-}
-
-std::uint8_t
-FeatureBinner::bin(std::size_t feature, std::size_t row) const
-{
-    CM_ASSERT(feature < bins_.size());
-    CM_ASSERT(row < bins_[feature].size());
-    return bins_[feature][row];
 }
 
 std::span<const std::uint8_t>
@@ -260,6 +264,7 @@ RegressionTree::grow(const DatasetView &data, const FeatureBinner &binner,
     nodes_[node_index].feature = best_feature;
     nodes_[node_index].threshold =
         binner.upperEdge(best_feature, best_bin);
+    nodes_[node_index].bin = static_cast<std::uint8_t>(best_bin);
 
     const std::size_t left_child =
         grow(data, binner, targets, left_rows, depth + 1, rng);

@@ -7,6 +7,9 @@
  * ensemble yields the event-importance measure of the paper's Eqs. 10-11.
  * Features are pre-discretized into quantile bins (FeatureBinner) so each
  * node's split search is one pass over its rows plus one pass over bins.
+ * Training stays in bin space end to end: the boosting stage update
+ * walks each fitted tree over the same bin columns (predictBinned),
+ * which routes every row exactly as raw-value predict() does.
  */
 
 #ifndef CMINER_ML_DECISION_TREE_H
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "ml/dataset_view.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace cminer::util {
@@ -42,6 +46,13 @@ struct TreeParams
 /**
  * Quantile discretization of a dataset's features, shared by all trees of
  * an ensemble.
+ *
+ * Bins are lower-bound bins over strictly increasing upper edges whose
+ * last edge is at or above the feature's largest non-NaN value, so for
+ * every non-NaN v, bin(v) <= b exactly when v <= upperEdge(b). NaN is
+ * left out of the quantile edges and placed in the top bin: no split
+ * (which keeps bins 0..b left, b < top) sends it left, matching raw
+ * predict(), where `NaN <= threshold` is false.
  */
 class FeatureBinner
 {
@@ -62,7 +73,12 @@ class FeatureBinner
     std::size_t binCount(std::size_t feature) const;
 
     /** Bin index of a stored row. */
-    std::uint8_t bin(std::size_t feature, std::size_t row) const;
+    std::uint8_t bin(std::size_t feature, std::size_t row) const
+    {
+        CM_ASSERT(feature < bins_.size());
+        CM_ASSERT(row < bins_[feature].size());
+        return bins_[feature][row];
+    }
 
     /**
      * One feature's whole bin column as a contiguous span — the split
@@ -90,6 +106,35 @@ struct SplitRecord
     std::size_t feature = 0;
     double improvement = 0.0; ///< squared-error reduction of the split
 };
+
+/** Winning (improvement, bin) of one feature's split scan. */
+struct CandidateBest
+{
+    double improvement = 0.0;
+    std::size_t bin = 0;
+    bool valid = false;
+};
+
+/**
+ * Best split of one feature over a node's rows via per-bin histograms:
+ * the candidate with the largest squared-error reduction above
+ * params.minImprovement whose sides both hold params.minSamplesLeaf
+ * rows (strict >, so the lowest bin wins ties).
+ *
+ * Depends only on this feature's bins plus the node aggregates, so the
+ * result is bitwise identical whether candidates are scanned serially
+ * or concurrently. Allocation-free: the histogram lives in fixed
+ * 255-bin stack buffers.
+ *
+ * @param rows view-row indices of the node, in accumulation order
+ * @param sum sum of targets over rows
+ * @param parent_score sum * sum / rows.size()
+ */
+CandidateBest scanCandidate(const FeatureBinner &binner,
+                            std::size_t feature,
+                            std::span<const double> targets,
+                            std::span<const std::size_t> rows, double sum,
+                            double parent_score, const TreeParams &params);
 
 /**
  * A fitted regression tree. Trains on (dataset rows, external targets) so
@@ -121,6 +166,25 @@ class RegressionTree
     {
         return predict(
             std::span<const double>(features.begin(), features.size()));
+    }
+
+    /**
+     * Predict one of the binner's rows by walking the tree on its bins
+     * (`bin <= split bin` goes left). Bit-identical to predict() on the
+     * row's raw features (see FeatureBinner). Only valid with the binner
+     * this tree was fit() on: split bins are fit-time state and are not
+     * part of a checkpoint.
+     */
+    double predictBinned(const FeatureBinner &binner, std::size_t row) const
+    {
+        CM_ASSERT(fitted());
+        std::size_t index = 0;
+        while (!nodes_[index].leaf) {
+            const Node &node = nodes_[index];
+            index = binner.bin(node.feature, row) <= node.bin ? node.left
+                                                              : node.right;
+        }
+        return nodes_[index].value;
     }
 
     /** All splits made while fitting (for importance accounting). */
@@ -160,6 +224,7 @@ class RegressionTree
         double value = 0.0;       ///< leaf prediction
         std::size_t feature = 0;  ///< split feature (internal nodes)
         double threshold = 0.0;   ///< raw-value split threshold
+        std::uint8_t bin = 0;     ///< fit-time split bin (not serialized)
         std::size_t left = 0;     ///< index of left child
         std::size_t right = 0;    ///< index of right child
     };

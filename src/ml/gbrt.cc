@@ -81,20 +81,12 @@ Gbrt::fit(const DatasetView &data, cminer::util::Rng &rng)
             break;
         }
 
-        // Each row's update reads only the new tree and writes its own
-        // slot, so chunked execution is bit-identical to the serial loop.
-        // Rows are gathered into one reusable buffer per chunk instead
-        // of materializing a vector per row.
-        cminer::util::parallelFor(
-            0, data.rowCount(), 512,
-            [&](std::size_t lo, std::size_t hi) {
-                std::vector<double> row(data.featureCount());
-                for (std::size_t r = lo; r < hi; ++r) {
-                    data.gatherRow(r, row);
-                    predictions[r] +=
-                        params_.learningRate * tree.predict(row);
-                }
-            });
+        // Stage update on the fit-time bins, which route every row to
+        // the same leaf as predict() on its raw features (DESIGN.md
+        // §13). A few node steps per row: cheaper than a pool fork.
+        for (std::size_t r = 0; r < data.rowCount(); ++r)
+            predictions[r] +=
+                params_.learningRate * tree.predictBinned(binner, r);
         trees_.push_back(std::move(tree));
     }
     fitted_ = true;

@@ -6,11 +6,13 @@
  * fixed seed and serializes the outputs that matter — the EIR iteration
  * trace, the top-10 importance list, the MAPM summary, the interaction
  * ranking, and the per-series cleaning reports — to JSON, with every
- * floating-point result also rendered as an exact C99 hexfloat. The
- * document must match the checked-in golden byte-for-byte at 1, 2, and
+ * floating-point result also rendered as an exact C99 hexfloat. Two
+ * benchmarks are pinned: HiBench `sort` and CloudSuite `WebSearch`
+ * (a different event-effect mix, so a different split population). Each
+ * document must match its checked-in golden byte-for-byte at 1, 2, and
  * 8 threads: any change to the arithmetic of the columnar data plane
- * (dataset layout, views, split search, CV folds, cleaning) shows up
- * here as a diff.
+ * (dataset layout, views, split search, stage updates, CV folds,
+ * cleaning) shows up here as a diff.
  *
  * Regenerate intentionally with CMINER_UPDATE_GOLDEN=1 (and say why in
  * the commit message).
@@ -78,15 +80,17 @@ goldenOptions()
 }
 
 /**
- * One full pipeline run at a fixed seed over a caller-supplied database
- * (in-RAM or segment-backed), serialized.
+ * One full pipeline run of a benchmark at a fixed seed over a
+ * caller-supplied database (in-RAM or segment-backed), serialized.
  */
 std::string
-runPipelineJson(std::size_t threads, store::Database &db)
+runPipelineJson(std::size_t threads, store::Database &db,
+                const std::string &benchmark = "sort")
 {
     ThreadCountGuard guard(threads);
     const auto &catalog = pmu::EventCatalog::instance();
-    const auto &bench = workload::BenchmarkSuite::instance().byName("sort");
+    const auto &bench =
+        workload::BenchmarkSuite::instance().byName(benchmark);
     CounterMiner miner(db, catalog, goldenOptions());
     Rng rng(42);
     const ProfileReport report = miner.profile(bench, rng);
@@ -172,32 +176,42 @@ runPipelineJson(std::size_t threads, store::Database &db)
 }
 
 std::string
-runPipelineJson(std::size_t threads)
+runPipelineJson(std::size_t threads, const std::string &benchmark = "sort")
 {
     store::Database db;
-    return runPipelineJson(threads, db);
+    return runPipelineJson(threads, db, benchmark);
 }
+
+/** The pinned benchmarks and their golden files. */
+constexpr const char *kGoldenBenchmarks[] = {"sort", "WebSearch"};
 
 std::string
-goldenPath()
+goldenPath(const std::string &benchmark)
 {
-    return std::string(CMINER_GOLDEN_DIR) + "/profile_sort.json";
+    return std::string(CMINER_GOLDEN_DIR) + "/profile_" + benchmark +
+           ".json";
 }
 
-TEST(GoldenPipeline, MatchesCheckedInGoldenAtAllThreadCounts)
+/**
+ * Compare a benchmark's pipeline document against its golden at 1, 2,
+ * and 8 threads (or rewrite the golden under CMINER_UPDATE_GOLDEN).
+ */
+void
+expectMatchesGolden(const std::string &benchmark)
 {
-    const std::string document = runPipelineJson(1);
+    const std::string path = goldenPath(benchmark);
+    const std::string document = runPipelineJson(1, benchmark);
 
     if (std::getenv("CMINER_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        ASSERT_TRUE(out) << "cannot write " << goldenPath();
+        std::ofstream out(path, std::ios::trunc);
+        ASSERT_TRUE(out) << "cannot write " << path;
         out << document << "\n";
         out.close();
-        GTEST_SKIP() << "golden regenerated at " << goldenPath();
+        GTEST_SKIP() << "golden regenerated at " << path;
     }
 
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in) << "missing golden file " << goldenPath()
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path
                     << " (regenerate with CMINER_UPDATE_GOLDEN=1)";
     std::ostringstream stored;
     stored << in.rdbuf();
@@ -206,13 +220,28 @@ TEST(GoldenPipeline, MatchesCheckedInGoldenAtAllThreadCounts)
         expected.pop_back();
 
     EXPECT_EQ(document, expected)
-        << "pipeline output diverged from the checked-in golden at 1 "
+        << benchmark
+        << " pipeline output diverged from the checked-in golden at 1 "
            "thread";
 
     for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        EXPECT_EQ(runPipelineJson(threads), expected)
-            << "pipeline output diverged at " << threads << " threads";
+        EXPECT_EQ(runPipelineJson(threads, benchmark), expected)
+            << benchmark << " pipeline output diverged at " << threads
+            << " threads";
     }
+}
+
+TEST(GoldenPipeline, MatchesCheckedInGoldenAtAllThreadCounts)
+{
+    expectMatchesGolden("sort");
+}
+
+// A CloudSuite workload next to the HiBench one: WebSearch plants a
+// different effect set and interaction graph, so its trees split on
+// different events and bins than sort's.
+TEST(GoldenPipeline, WebSearchMatchesCheckedInGoldenAtAllThreadCounts)
+{
+    expectMatchesGolden("WebSearch");
 }
 
 // Every kernel the pipeline dispatches through the SIMD layer is in the
@@ -224,15 +253,18 @@ TEST(GoldenPipeline, ByteIdenticalAcrossSimdDispatchLevels)
         GTEST_SKIP() << "golden regeneration handled by the thread test";
 
     SimdLevelGuard guard;
-    simd::setLevel(simd::Level::Scalar);
-    const std::string reference = runPipelineJson(1);
+    for (const std::string benchmark : kGoldenBenchmarks) {
+        simd::setLevel(simd::Level::Scalar);
+        const std::string reference = runPipelineJson(1, benchmark);
 
-    for (simd::Level level : simd::availableLevels()) {
-        simd::setLevel(level);
-        ASSERT_EQ(simd::activeLevel(), level);
-        EXPECT_EQ(runPipelineJson(1), reference)
-            << "pipeline output diverged at dispatch level "
-            << simd::levelName(level);
+        for (simd::Level level : simd::availableLevels()) {
+            simd::setLevel(level);
+            ASSERT_EQ(simd::activeLevel(), level);
+            EXPECT_EQ(runPipelineJson(1, benchmark), reference)
+                << benchmark
+                << " pipeline output diverged at dispatch level "
+                << simd::levelName(level);
+        }
     }
 }
 

@@ -2,12 +2,16 @@
  * @file
  * Unit tests for the ML substrate: dataset plumbing, metrics, OLS exact
  * recovery, KNN regression and temporal imputation, regression trees,
- * SGBRT accuracy and Friedman importance, and CV splitting.
+ * SGBRT accuracy and Friedman importance, bin-space training (binned
+ * walks bit-equal raw predict, NaN routing), and CV splitting.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "ml/cv.h"
 #include "ml/dataset.h"
@@ -16,6 +20,7 @@
 #include "ml/knn.h"
 #include "ml/linear_regression.h"
 #include "ml/metrics.h"
+#include "stats/descriptive.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -339,6 +344,268 @@ TEST(FeatureBinner, ConstantFeatureCollapsesToOneBin)
         data.addRow({5.0}, 0.0);
     const FeatureBinner binner(data, 16);
     EXPECT_EQ(binner.binCount(0), 1u);
+}
+
+TEST(FeatureBinner, NanRowsTrainAndPredictOnTheSameSide)
+{
+    // Raw predict() sends NaN right (`NaN <= threshold` is false), so
+    // training must too: NaN stays out of the quantile edges and takes
+    // the top bin, which no split keeps left. A tree can then learn the
+    // NaN rows' distinct target.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Dataset data({"x"});
+    std::vector<double> targets;
+    std::vector<std::size_t> rows;
+    for (int i = 0; i < 100; ++i) {
+        const bool missing = i % 5 == 0;
+        const double x = i / 100.0;
+        data.addRow({missing ? nan : x}, missing ? 10.0 : x);
+        targets.push_back(missing ? 10.0 : x);
+        rows.push_back(static_cast<std::size_t>(i));
+    }
+    const FeatureBinner binner(data, 32);
+    const std::size_t top = binner.binCount(0) - 1;
+    for (std::size_t b = 0; b < binner.binCount(0); ++b)
+        EXPECT_FALSE(std::isnan(binner.upperEdge(0, b))) << "edge " << b;
+
+    TreeParams params;
+    params.maxDepth = 3;
+    params.minSamplesLeaf = 1;
+    RegressionTree tree(params);
+    Rng rng(3);
+    tree.fit(data, binner, targets, rows, rng);
+    ASSERT_FALSE(tree.splits().empty());
+    for (std::size_t r = 0; r < data.rowCount(); r += 5) {
+        ASSERT_TRUE(std::isnan(data.column(0)[r]));
+        EXPECT_EQ(binner.bin(0, r), top);
+        EXPECT_EQ(tree.predictBinned(binner, r), tree.predict({nan}));
+    }
+    // The leaf NaN reaches was trained on the NaN rows.
+    EXPECT_GT(tree.predict({nan}), 5.0);
+
+    Gbrt model;
+    Rng fit_rng(4);
+    model.fit(data, fit_rng);
+    const std::vector<double> predicted = model.predictAll(data);
+    for (std::size_t r = 0; r < data.rowCount(); r += 5)
+        EXPECT_GT(predicted[r], 5.0) << "row " << r;
+}
+
+TEST(FeatureBinner, AllNanColumnIsOneUnsplittableBin)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Dataset data({"x"});
+    for (int i = 0; i < 20; ++i)
+        data.addRow({nan}, static_cast<double>(i));
+    const FeatureBinner binner(data, 16);
+    ASSERT_EQ(binner.binCount(0), 1u);
+    EXPECT_FALSE(std::isnan(binner.upperEdge(0, 0)));
+    for (std::size_t r = 0; r < data.rowCount(); ++r)
+        EXPECT_EQ(binner.bin(0, r), 0u);
+}
+
+// --- bin-space training ------------------------------------------------
+
+/** Exact bit pattern: -0.0 differs from 0.0, NaN compares equal. */
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/**
+ * A random dataset built to stress the bin/threshold correspondence:
+ * continuous, heavily tied, constant, signed-zero, infinite, and
+ * NaN-sprinkled columns, with a target that depends on all of the
+ * non-constant ones so trees split on them.
+ */
+Dataset
+adversarialDataset(std::size_t rows, std::uint64_t seed)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Rng gen(seed);
+    Dataset data({"gauss", "ties", "constant", "zeros", "inf", "nan",
+                  "mixed"});
+    const std::vector<double> specials = {nan, inf, -inf, -0.0, 0.0,
+                                          1.0, -1.0};
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double gauss = gen.gaussian();
+        const auto ties = static_cast<double>(gen.uniformInt(0, 3));
+        const double zeros = gen.bernoulli(0.5)
+            ? (gen.bernoulli(0.5) ? -0.0 : 0.0)
+            : gen.gaussian();
+        const double infinite = gen.bernoulli(0.3)
+            ? (gen.bernoulli(0.5) ? inf : -inf)
+            : gen.gaussian();
+        const double sparse = gen.bernoulli(0.2) ? nan : gen.gaussian();
+        const double mixed = gen.bernoulli(0.5)
+            ? specials[static_cast<std::size_t>(gen.uniformInt(
+                  0, static_cast<std::int64_t>(specials.size()) - 1))]
+            : std::round(2.0 * gen.gaussian()) / 2.0;
+        const double target = gauss + 0.5 * ties +
+            (std::signbit(zeros) ? 1.0 : 0.0) +
+            (infinite == inf ? 2.0 : 0.0) +
+            (std::isnan(sparse) ? 3.0 : 0.3 * sparse) +
+            (std::isnan(mixed) ? -2.0 : 0.0) + 0.1 * gen.gaussian();
+        data.addRow({gauss, ties, 2.5, zeros, infinite, sparse, mixed},
+                    target);
+    }
+    return data;
+}
+
+TEST(BinSpace, BinOrderMatchesRawThresholdOrderExactly)
+{
+    // The exactness argument of the binned stage update, checked
+    // directly: for every row, feature, and split bin b below the top,
+    // bin <= b holds exactly when value <= upperEdge(b).
+    const Dataset data = adversarialDataset(300, 11);
+    for (std::size_t max_bins : {2u, 32u, 255u}) {
+        const FeatureBinner binner(data, max_bins);
+        for (std::size_t f = 0; f < data.featureCount(); ++f) {
+            ASSERT_LE(binner.binCount(f), max_bins);
+            for (std::size_t b = 0; b + 1 < binner.binCount(f); ++b) {
+                const double edge = binner.upperEdge(f, b);
+                for (std::size_t r = 0; r < data.rowCount(); ++r) {
+                    ASSERT_EQ(binner.bin(f, r) <= b,
+                              data.column(f)[r] <= edge)
+                        << "max_bins " << max_bins << " feature " << f
+                        << " bin " << b << " row " << r;
+                }
+            }
+        }
+    }
+}
+
+TEST(BinSpace, BinnedWalkBitEqualsRawPredictOnEveryRow)
+{
+    const Dataset base = adversarialDataset(400, 12);
+    const DatasetView whole(base);
+    // A permuted column subset and a row subsample of the base.
+    const DatasetView narrowed =
+        whole.withFeatures({"mixed", "nan", "gauss", "inf", "zeros"});
+    Rng pick(13);
+    const DatasetView resampled =
+        whole.withRows(pick.sampleIndices(base.rowCount(), 250));
+    const DatasetView both = resampled.withFeatures({"ties", "mixed"});
+
+    std::size_t walks = 0;
+    for (const DatasetView *view : {&whole, &narrowed, &resampled, &both}) {
+        const std::vector<double> targets = view->targets();
+        for (std::size_t max_bins : {2u, 32u, 255u}) {
+            const FeatureBinner binner(*view, max_bins);
+            for (std::uint64_t seed = 0; seed < 4; ++seed) {
+                TreeParams params;
+                params.maxDepth = 6;
+                params.minSamplesLeaf = seed % 2 == 0 ? 1 : 4;
+                params.featureFraction = seed < 2 ? 1.0 : 0.5;
+                params.maxBins = max_bins;
+                Rng rng(100 + seed);
+                // Train on a stochastic subsample; the walk covers
+                // every row, as the stage update does.
+                const std::vector<std::size_t> rows = rng.sampleIndices(
+                    view->rowCount(), view->rowCount() / 2);
+                RegressionTree tree(params);
+                tree.fit(*view, binner, targets, rows, rng);
+                for (std::size_t r = 0; r < view->rowCount(); ++r) {
+                    ASSERT_EQ(bits(tree.predictBinned(binner, r)),
+                              bits(tree.predict(view->row(r))))
+                        << "max_bins " << max_bins << " seed " << seed
+                        << " row " << r;
+                    ++walks;
+                }
+            }
+        }
+    }
+    EXPECT_GT(walks, 0u);
+}
+
+TEST(BinSpace, GbrtFitMatchesRawFeatureStageUpdate)
+{
+    // Reference boosting loop with the raw-feature stage update the
+    // binned walk replaced (gather each row, predict()), driven with
+    // the same RNG draws as Gbrt::fit. Every tree therefore sees the
+    // same residuals only if the two updates agree bit for bit, and
+    // the fitted ensemble's predictions must equal the reference's
+    // training-time accumulations exactly.
+    const Dataset data = adversarialDataset(240, 14);
+    for (std::size_t max_bins : {2u, 32u, 255u}) {
+        GbrtParams params;
+        params.treeCount = 25;
+        params.tree.maxBins = max_bins;
+
+        Gbrt model(params);
+        Rng model_rng(15);
+        model.fit(data, model_rng);
+
+        Rng rng(15);
+        const FeatureBinner binner(data, max_bins);
+        const std::vector<double> &targets = data.targets();
+        std::vector<double> predictions(data.rowCount(),
+                                        cminer::stats::mean(targets));
+        std::vector<double> residuals(data.rowCount());
+        const std::size_t sample_size = std::max<std::size_t>(
+            2 * params.tree.minSamplesLeaf,
+            static_cast<std::size_t>(
+                params.subsample * static_cast<double>(data.rowCount())));
+        std::size_t trees = 0;
+        for (std::size_t stage = 0; stage < params.treeCount; ++stage) {
+            for (std::size_t r = 0; r < data.rowCount(); ++r)
+                residuals[r] = targets[r] - predictions[r];
+            const std::vector<std::size_t> rows =
+                rng.sampleIndices(data.rowCount(), sample_size);
+            RegressionTree tree(params.tree);
+            tree.fit(data, binner, residuals, rows, rng);
+            if (tree.splits().empty())
+                break;
+            for (std::size_t r = 0; r < data.rowCount(); ++r)
+                predictions[r] +=
+                    params.learningRate * tree.predict(data.row(r));
+            ++trees;
+        }
+
+        ASSERT_EQ(model.treeCount(), trees) << "max_bins " << max_bins;
+        const std::vector<double> fitted = model.predictAll(data);
+        for (std::size_t r = 0; r < data.rowCount(); ++r) {
+            ASSERT_EQ(bits(fitted[r]), bits(predictions[r]))
+                << "max_bins " << max_bins << " row " << r;
+        }
+    }
+}
+
+TEST(BinSpace, GbrtFitBitIdenticalAcrossThreadCounts)
+{
+    // Large enough, with every feature a candidate, that root-level
+    // split scans take the parallel path.
+    const Dataset data = adversarialDataset(3500, 16);
+    const DatasetView view = DatasetView(data).withFeatures(
+        {"nan", "gauss", "mixed", "inf", "ties", "zeros"});
+    GbrtParams params;
+    params.treeCount = 40;
+    params.tree.featureFraction = 1.0;
+    std::vector<std::vector<FeatureImportance>> importances;
+    std::vector<std::vector<double>> predictions;
+    for (std::size_t threads : {1u, 2u, 8u}) {
+        cminer::util::Parallelism::setThreadCount(threads);
+        Gbrt model(params);
+        Rng rng(17);
+        model.fit(view, rng);
+        importances.push_back(model.featureImportances());
+        predictions.push_back(model.predictAll(view));
+    }
+    cminer::util::Parallelism::setThreadCount(0);
+    for (std::size_t t = 1; t < importances.size(); ++t) {
+        ASSERT_EQ(importances[t].size(), importances[0].size());
+        for (std::size_t i = 0; i < importances[0].size(); ++i) {
+            EXPECT_EQ(importances[t][i].feature,
+                      importances[0][i].feature);
+            EXPECT_EQ(bits(importances[t][i].importance),
+                      bits(importances[0][i].importance));
+        }
+        ASSERT_EQ(predictions[t].size(), predictions[0].size());
+        for (std::size_t r = 0; r < predictions[0].size(); ++r)
+            EXPECT_EQ(bits(predictions[t][r]), bits(predictions[0][r]));
+    }
 }
 
 // --- SGBRT ------------------------------------------------------------
