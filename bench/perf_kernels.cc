@@ -771,12 +771,12 @@ BM_ServeBatchPipeline(benchmark::State &state)
 BENCHMARK(BM_ServeBatchPipeline)->Arg(16)->Arg(256)->UseRealTime();
 
 // --- out-of-core segment store -------------------------------------------
-// Twin benchmarks over the same synthetic fleet: Arg(0) keeps every run
-// in the in-RAM Database, Arg(1) routes it through the out-of-core
-// segment store with a seal threshold small enough that ingest really
-// seals and mining really reads mapped files. The rss/hwm counters show
-// the resident-memory story the store exists for; allocs_per_iter shows
-// the read path staying zero-copy either way.
+// Twin benchmarks over the same synthetic fleet and the same store
+// engine: Arg(0) is the in-RAM Database, whose write buffer never seals,
+// Arg(1) gives it a directory and a seal threshold small enough that
+// ingest really seals and mining really reads mapped files. The rss/hwm
+// counters show the resident-memory story the store exists for;
+// allocs_per_iter shows the read path staying zero-copy either way.
 
 /** A /proc/self/status gauge in KiB (VmRSS, VmHWM), 0 if unreadable. */
 std::size_t

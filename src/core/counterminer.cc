@@ -99,9 +99,9 @@ CounterMiner::runPipeline(std::vector<CollectedRun> runs,
     ProfileReport report;
     report.benchmark = program;
 
-    // Assemble the dataset straight from the runs' level-2 store
-    // tables: feature columns fill from contiguous column spans, no
-    // per-run TimeSeries round-trip.
+    // Assemble the dataset straight from the runs' stored series:
+    // feature columns fill from contiguous column spans, no per-run
+    // TimeSeries round-trip.
     std::vector<cminer::store::RunId> ids;
     ids.reserve(runs.size());
     for (const auto &run : runs)

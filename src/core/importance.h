@@ -98,8 +98,8 @@ class ImportanceRanker
 
     /**
      * Assemble the same dataset straight from the store: feature
-     * columns are filled from the runs' level-2 table column spans
-     * (zero intermediate TimeSeries copies). All runs must have
+     * columns are filled from the runs' stored column spans (zero
+     * intermediate TimeSeries copies). All runs must have
      * measured the same event list, with the IPC series last.
      */
     static cminer::ml::Dataset

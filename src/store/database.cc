@@ -1,10 +1,9 @@
 #include "store/database.h"
 
-#include <cmath>
-#include <cstring>
+#include <charconv>
 #include <filesystem>
-#include <set>
 
+#include "store/segment_writer.h"
 #include "util/binary_io.h"
 #include "util/csv.h"
 #include "util/error.h"
@@ -16,31 +15,14 @@ using cminer::ts::TimeSeries;
 
 namespace {
 
-Schema
-catalogSchema()
-{
-    return Schema({{"run_id", ColumnType::Integer},
-                   {"program", ColumnType::Text},
-                   {"suite", ColumnType::Text},
-                   {"mode", ColumnType::Text},
-                   {"exec_time_ms", ColumnType::Real},
-                   {"events", ColumnType::Text},
-                   {"series_table", ColumnType::Text}});
-}
+// --- v2 import ---------------------------------------------------------------
 
-// --- persistence format constants ------------------------------------------
-
-/** Magic of the legacy (pre-container) v1 file format. */
-constexpr char db_legacy_magic[4] = {'C', 'M', 'D', 'B'};
-
-/** Artifact kind of the container-format database file. */
+/** Artifact kind of the older whole-database container. */
 constexpr const char *db_artifact_kind = "cminer-db";
 
 /**
- * Current database schema version. v1 was the legacy raw layout; v2 is
- * the same run records inside a checkpoint container (DESIGN.md §12),
- * written atomically and read with bounded, validated reads. v1 files
- * still load.
+ * The only `cminer-db` schema version ever written: a "runs" section of
+ * whole run records. save() now writes a segment; v2 files still load.
  */
 constexpr std::uint32_t db_version = 2;
 
@@ -52,9 +34,9 @@ constexpr std::uint32_t db_version = 2;
 constexpr std::size_t min_run_record_bytes = 64;
 
 /**
- * Parse the run records shared by the v1 and v2 layouts, inserting
- * them into `db`. All counts and lengths are validated against the
- * bytes remaining in `in` before anything is allocated.
+ * Parse the v2 run records, inserting them into `db`. All counts and
+ * lengths are validated against the bytes remaining in `in` before
+ * anything is allocated.
  */
 util::Status
 readRuns(util::BinaryReader &in, Database &db)
@@ -96,30 +78,35 @@ readRuns(util::BinaryReader &in, Database &db)
     return util::Status::okStatus();
 }
 
-/**
- * Load the legacy v1 layout (magic "CMDB", u64 version, microarch,
- * then the run records) with the same bounded-read discipline. The
- * old reader trusted these count fields outright: a corrupt file
- * could request an OOM-sized allocation or fatal without an offset.
- */
+/** Import a v2 `cminer-db` container already opened as `in`. */
 util::StatusOr<Database>
-loadLegacyV1(std::string bytes)
+importV2(util::BinaryReader &in)
 {
-    util::BinaryReader in = util::BinaryReader::raw(std::move(bytes));
-    in.u32(); // the 4 magic bytes, already matched by the caller
-    const std::uint64_t version = in.u64();
-    if (in.ok() && version != 1)
+    if (in.artifactVersion() != db_version)
         return in.fail(util::format(
-            "unsupported legacy database version %llu",
-            static_cast<unsigned long long>(version)));
-    Database db(in.str());
+            "unsupported database version %u (this build imports "
+            "v%u containers)",
+            in.artifactVersion(), db_version));
+    Database db;
+    bool seen_runs = false;
+    for (std::uint64_t s = 0; s < in.sectionCount() && in.ok(); ++s) {
+        const std::string section = in.beginSection();
+        if (!in.ok())
+            break;
+        if (section == "runs") {
+            db = Database(in.str());
+            const util::Status status = readRuns(in, db);
+            if (!status.ok())
+                return status;
+            seen_runs = in.ok();
+        }
+        // Unknown sections from newer writers are skipped by size.
+        in.endSection();
+    }
     if (!in.ok())
         return in.status();
-    const util::Status status = readRuns(in, db);
-    if (!status.ok())
-        return status;
-    if (!in.ok())
-        return in.status();
+    if (!seen_runs)
+        return util::Status::dataError("no 'runs' section");
     return db;
 }
 
@@ -140,8 +127,12 @@ csvLine(const std::vector<std::string> &fields)
 } // namespace
 
 Database::Database(std::string microarch)
-    : microarch_(std::move(microarch)),
-      catalog_("runs", catalogSchema())
+    : store_(StoreIndex::inMemory(std::move(microarch)))
+{
+}
+
+Database::Database(std::shared_ptr<StoreIndex> store)
+    : store_(std::move(store))
 {
 }
 
@@ -159,9 +150,7 @@ Database::tryOpenStore(const StoreOptions &options)
     auto index = StoreIndex::open(options);
     if (!index.ok())
         return index.status();
-    Database db(options.microarch);
-    db.store_ = std::move(index).value();
-    return db;
+    return Database(std::move(index).value());
 }
 
 RunId
@@ -179,118 +168,31 @@ Database::tryAddRun(const std::string &program, const std::string &suite,
                     const std::string &mode, double exec_time_ms,
                     const std::vector<TimeSeries> &series)
 {
-    if (store_ != nullptr)
-        return store_->addRun(program, suite, mode, exec_time_ms,
-                              series);
-    if (series.empty())
-        return util::Status::dataError(
-            "store: addRun requires at least one series");
-    const std::size_t length = series.front().size();
-    const double interval_ms = series.front().intervalMs();
-    for (const auto &s : series) {
-        if (s.size() != length)
-            return util::Status::dataError(util::format(
-                "store: series length mismatch within a run ('%s' has "
-                "%zu samples, expected %zu)",
-                s.eventName().c_str(), s.size(), length));
-        // One run samples every event on the same clock; a mixed
-        // interval would silently stretch or squeeze every series
-        // recorded after the first, so it is data damage, not a
-        // preference.
-        if (s.intervalMs() != interval_ms)
-            return util::Status::dataError(util::format(
-                "store: mixed sampling intervals within a run ('%s' "
-                "sampled every %g ms, '%s' every %g ms)",
-                series.front().eventName().c_str(), interval_ms,
-                s.eventName().c_str(), s.intervalMs()));
-    }
-    if (!std::isfinite(exec_time_ms) || exec_time_ms < 0.0)
-        return util::Status::dataError(
-            "store: run execution time is not a finite non-negative "
-            "duration");
-
-    const RunId id = nextId_++;
-    RunMetadata meta;
-    meta.id = id;
-    meta.program = program;
-    meta.suite = suite;
-    meta.mode = mode;
-    meta.execTimeMs = exec_time_ms;
-    meta.seriesTable = "run_" + std::to_string(id);
-    for (const auto &s : series)
-        meta.events.push_back(s.eventName());
-
-    // Level-2 table: interval index plus one REAL column per event.
-    std::vector<ColumnSpec> columns;
-    columns.push_back({"interval", ColumnType::Integer});
-    for (const auto &s : series)
-        columns.push_back({s.eventName(), ColumnType::Real});
-    Table table(meta.seriesTable, Schema(std::move(columns)));
-    for (std::size_t i = 0; i < length; ++i) {
-        Row row;
-        row.reserve(series.size() + 1);
-        row.emplace_back(static_cast<std::int64_t>(i));
-        for (const auto &s : series)
-            row.emplace_back(s.at(i));
-        table.insert(std::move(row));
-    }
-
-    intervalMs_[id] = interval_ms;
-    seriesTables_.emplace(id, std::move(table));
-    runs_.emplace(id, std::move(meta));
-
-    const RunMetadata &stored = runs_.at(id);
-    catalog_.insert({id, stored.program, stored.suite, stored.mode,
-                     stored.execTimeMs,
-                     util::join(stored.events, ";"),
-                     stored.seriesTable});
-    return id;
+    return store_->addRun(program, suite, mode, exec_time_ms, series);
 }
 
 std::size_t
 Database::runCount() const
 {
-    if (store_ != nullptr)
-        return store_->runCount();
-    return runs_.size();
+    return store_->runCount();
 }
 
 const RunMetadata &
 Database::runInfo(RunId id) const
 {
-    if (store_ != nullptr)
-        return store_->snapshot().runInfo(id);
-    auto it = runs_.find(id);
-    if (it == runs_.end())
-        util::fatal("store: unknown run id " + std::to_string(id));
-    return it->second;
+    return store_->at(id).meta();
 }
 
 std::vector<RunId>
 Database::findRuns(const std::string &program, const std::string &mode) const
 {
-    if (store_ != nullptr)
-        return store_->findRuns(program, mode);
-    std::vector<RunId> ids;
-    for (const auto &[id, meta] : runs_) {
-        if (meta.program != program)
-            continue;
-        if (!mode.empty() && meta.mode != mode)
-            continue;
-        ids.push_back(id);
-    }
-    return ids;
+    return store_->findRuns(program, mode);
 }
 
 std::vector<std::string>
 Database::programs() const
 {
-    if (store_ != nullptr)
-        return store_->programs();
-    std::set<std::string> names;
-    for (const auto &[id, meta] : runs_)
-        names.insert(meta.program);
-    return {names.begin(), names.end()};
+    return store_->programs();
 }
 
 TimeSeries
@@ -304,47 +206,28 @@ Database::series(RunId id, const std::string &event) const
 std::span<const double>
 Database::seriesValues(RunId id, const std::string &event) const
 {
-    if (store_ != nullptr) {
-        // The returned span points into store-owned memory (segment
-        // mapping or buffered column), which the database keeps alive
-        // until the next seal or compaction retires it — the same
-        // "valid until the next mutation" contract as the RAM path.
-        return store_->snapshot().values(id, event);
-    }
-    const Table &table = seriesTable(id);
-    if (!table.schema().hasColumn(event))
-        util::fatal("store: run " + std::to_string(id) +
-                    " has no event " + event);
-    return table.realColumn(event);
+    // The span points into store-owned memory (segment mapping or
+    // buffered column), which the store keeps alive until the next
+    // seal or compaction retires it.
+    return store_->at(id).values(event);
 }
 
 double
 Database::seriesIntervalMs(RunId id) const
 {
-    if (store_ != nullptr)
-        return store_->snapshot().intervalMs(id);
-    auto it = intervalMs_.find(id);
-    if (it == intervalMs_.end())
-        util::fatal("store: unknown run id " + std::to_string(id));
-    return it->second;
+    return store_->at(id).intervalMs();
 }
 
 std::size_t
 Database::seriesLength(RunId id) const
 {
-    if (store_ != nullptr)
-        return store_->snapshot().length(id);
-    return seriesTable(id).rowCount();
+    return store_->at(id).length();
 }
 
 StoreSnapshot
 Database::snapshot() const
 {
-    if (store_ != nullptr)
-        return store_->snapshot();
-    StoreSnapshot snap;
-    snap.ram_ = this;
-    return snap;
+    return store_->snapshot();
 }
 
 std::vector<TimeSeries>
@@ -358,28 +241,6 @@ Database::allSeries(RunId id) const
     return out;
 }
 
-const Table &
-Database::catalog() const
-{
-    if (store_ != nullptr)
-        util::fatal("store: catalog() has no Table backing on an "
-                    "out-of-core database; use runInfo()/findRuns() or "
-                    "a snapshot()");
-    return catalog_;
-}
-
-const Table &
-Database::seriesTable(RunId id) const
-{
-    if (store_ != nullptr)
-        util::fatal("store: seriesTable() has no Table backing on an "
-                    "out-of-core database; use snapshot() values");
-    auto it = seriesTables_.find(id);
-    if (it == seriesTables_.end())
-        util::fatal("store: unknown run id " + std::to_string(id));
-    return it->second;
-}
-
 void
 Database::save(const std::string &path) const
 {
@@ -389,31 +250,15 @@ Database::save(const std::string &path) const
 util::Status
 Database::trySave(const std::string &path) const
 {
-    if (store_ != nullptr)
-        return util::Status::dataError(
-            "store: save() does not apply to an out-of-core database — "
-            "segments are already durable; flush() is the barrier");
-    util::BinaryWriter out(db_artifact_kind, db_version);
-    out.beginSection("runs");
-    out.str(microarch_);
-    out.u64(runs_.size());
-    for (const auto &[id, meta] : runs_) {
-        out.u64(static_cast<std::uint64_t>(id));
-        out.str(meta.program);
-        out.str(meta.suite);
-        out.str(meta.mode);
-        out.f64(meta.execTimeMs);
-        out.f64(intervalMs_.at(id));
-        out.u64(meta.events.size());
-        const Table &table = seriesTables_.at(id);
-        out.u64(table.rowCount());
-        for (const auto &event : meta.events) {
-            out.str(event);
-            out.f64Span(table.realColumn(event));
-        }
-    }
-    out.endSection();
-    util::Status status = out.writeFile(path);
+    // A pinned snapshot keeps every input alive through the write, even
+    // the mapping of the very file being replaced.
+    const StoreSnapshot snap = snapshot();
+    SegmentWriter writer(microarch());
+    for (const auto &segment : snap.segments_)
+        writer.addSegment(*segment);
+    for (const auto &run : snap.buffer_)
+        writer.addRun(*run);
+    util::Status status = writer.write(path);
     if (!status.ok())
         return status.withContext("store: save " + path);
     return status;
@@ -428,24 +273,19 @@ Database::flush()
 util::Status
 Database::tryFlush()
 {
-    if (store_ == nullptr)
-        return util::Status::okStatus();
     return store_->flush();
 }
 
 void
 Database::waitForStoreMaintenance()
 {
-    if (store_ != nullptr)
-        store_->waitForMaintenance();
+    store_->waitForMaintenance();
 }
 
 StoreStats
 Database::storeStats() const
 {
-    if (store_ != nullptr)
-        return store_->stats();
-    return {};
+    return store_->stats();
 }
 
 Database
@@ -459,56 +299,35 @@ Database::load(const std::string &path)
 util::StatusOr<Database>
 Database::tryLoad(const std::string &path)
 {
+    auto segment = Segment::open(path);
+    if (segment.ok()) {
+        std::shared_ptr<const Segment> seg = std::move(segment).value();
+        // Callers walk ids 0..runCount()-1; a shard of a store
+        // directory starting elsewhere would break every one of them.
+        if (seg->firstId() != 0)
+            return util::Status::dataError(util::format(
+                "store: load %s: segment starts at run id %lld, not 0 "
+                "(a shard of a store directory? open the directory "
+                "with openStore)",
+                path.c_str(), static_cast<long long>(seg->firstId())));
+        std::string microarch = seg->microarch();
+        if (seg->runCount() == 0)
+            seg.reset();
+        return Database(
+            StoreIndex::inMemory(std::move(microarch), std::move(seg)));
+    }
+
+    // Not a segment: maybe a database saved in the v2 container.
     auto read = util::readFileBytes(path);
     if (!read.ok())
-        return read.status().withContext("store: load " + path);
-    std::string bytes = std::move(read).value();
-
-    // Legacy v1 files predate the container header; sniff their magic.
-    if (bytes.size() >= sizeof(db_legacy_magic) &&
-        std::memcmp(bytes.data(), db_legacy_magic,
-                    sizeof(db_legacy_magic)) == 0) {
-        auto db = loadLegacyV1(std::move(bytes));
-        if (!db.ok())
-            return db.status().withContext("store: load " + path +
-                                           " (v1)");
-        return db;
-    }
-
-    auto opened =
-        util::BinaryReader::fromBytes(std::move(bytes), db_artifact_kind);
+        return segment.status().withContext("store: load " + path);
+    auto opened = util::BinaryReader::fromBytes(std::move(read).value(),
+                                                db_artifact_kind);
     if (!opened.ok())
-        return opened.status().withContext("store: load " + path);
-    util::BinaryReader in = std::move(opened).value();
-    if (in.artifactVersion() != db_version)
-        return in
-            .fail(util::format(
-                "unsupported database version %u (this build reads "
-                "v1 legacy files and v%u containers)",
-                in.artifactVersion(), db_version))
-            .withContext("store: load " + path);
-
-    Database db;
-    bool seen_runs = false;
-    for (std::uint64_t s = 0; s < in.sectionCount() && in.ok(); ++s) {
-        const std::string section = in.beginSection();
-        if (!in.ok())
-            break;
-        if (section == "runs") {
-            db = Database(in.str());
-            const util::Status status = readRuns(in, db);
-            if (!status.ok())
-                return status.withContext("store: load " + path);
-            seen_runs = in.ok();
-        }
-        // Unknown sections from newer writers are skipped by size.
-        in.endSection();
-    }
-    if (!in.ok())
-        return in.status().withContext("store: load " + path);
-    if (!seen_runs)
-        return util::Status::dataError("no 'runs' section")
-            .withContext("store: load " + path);
+        return segment.status().withContext("store: load " + path);
+    auto db = importV2(opened.value());
+    if (!db.ok())
+        return db.status().withContext("store: load " + path + " (v2)");
     return db;
 }
 
@@ -517,7 +336,7 @@ Database::exportCsv(const std::string &directory) const
 {
     std::filesystem::create_directories(directory);
 
-    // One consistent view for the whole export, both storage modes.
+    // One consistent view for the whole export.
     const StoreSnapshot snap = snapshot();
     const RunId run_count = static_cast<RunId>(snap.runCount());
 
@@ -582,7 +401,12 @@ Database::exportCsv(const std::string &directory) const
         if (digits.empty() ||
             digits.find_first_not_of("0123456789") != std::string::npos)
             continue;
-        const RunId id = static_cast<RunId>(std::stoll(digits));
+        // A name too long for a RunId is not one of ours: from_chars
+        // reports it instead of throwing as std::stoll would.
+        RunId id = 0;
+        const char *last = digits.data() + digits.size();
+        if (std::from_chars(digits.data(), last, id).ec != std::errc())
+            continue;
         if (id >= run_count)
             std::filesystem::remove(entry.path(), ec);
     }

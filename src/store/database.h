@@ -2,25 +2,24 @@
  * @file
  * The two-level performance database (Section III-A of the paper).
  *
- * Level 1 is a catalog table holding, per run: the program name, suite,
+ * Level 1 is a catalog holding, per run: the program name, suite,
  * sampling mode, execution time, the measured event names, and the name
- * of the level-2 table. Level 2 holds one table per run with the sampled
- * time series (one REAL column per event, one row per interval).
+ * of the run's series table. Level 2 holds each run's sampled time
+ * series, one column per event, one value per interval.
  *
  * The paper uses SQLite for this; we provide an embedded from-scratch
  * equivalent with binary persistence and CSV export. Per the paper, the
  * catalog is tied to one microarchitecture: loading a database recorded
  * on a different microarchitecture re-initializes the tables.
  *
- * Two storage modes share this API (DESIGN.md §15):
- *
- *  - **In-RAM** (the default constructor, save()/load()): every run
- *    lives in level-2 Tables in memory. Right for datasets that fit.
- *  - **Out-of-core** (openStore()): runs land in a bounded write buffer
- *    that seals into immutable memory-mapped segment files
- *    (store/segment.h) under a directory, with background compaction.
- *    Series reads are zero-copy spans straight over the mappings, so
- *    resident memory tracks the configured budget — not the dataset.
+ * One engine backs every Database (store/store_index.h, DESIGN.md §15):
+ * runs land in a write buffer of columnar runs and are read back as
+ * zero-copy spans. The default constructor keeps that buffer in RAM and
+ * never seals it; openStore() gives it a directory, where it seals into
+ * immutable memory-mapped segment files (store/segment.h) and compacts
+ * in the background, so resident memory tracks the configured budget —
+ * not the dataset. save() writes every run as one segment file and
+ * load() maps it back.
  *
  * Readers that must stay consistent while ingest or maintenance runs
  * concurrently take a snapshot() and read through it; see
@@ -31,16 +30,13 @@
 #define CMINER_STORE_DATABASE_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "store/segment.h"
 #include "store/store_index.h"
-#include "store/table.h"
 #include "ts/time_series.h"
 #include "util/status.h"
 
@@ -52,8 +48,20 @@ namespace cminer::store {
 class Database
 {
   public:
-    /** @param microarch the microarchitecture this database describes */
+    /**
+     * An in-RAM database: its write buffer never seals.
+     * @param microarch the microarchitecture this database describes
+     */
     explicit Database(std::string microarch = "haswell-e");
+
+    /**
+     * Move-only: the engine is single-writer, so two Databases must
+     * never share one.
+     */
+    Database(Database &&) noexcept = default;
+    Database &operator=(Database &&) noexcept = default;
+    Database(const Database &) = delete;
+    Database &operator=(const Database &) = delete;
 
     /**
      * Open (or create) an out-of-core database over a directory of
@@ -69,14 +77,11 @@ class Database
     static cminer::util::StatusOr<Database>
     tryOpenStore(const StoreOptions &options);
 
-    /** True when backed by the out-of-core segment store. */
-    bool outOfCore() const { return store_ != nullptr; }
-
     /** Microarchitecture tag. */
-    const std::string &microarch() const { return microarch_; }
+    const std::string &microarch() const { return store_->microarch(); }
 
     /**
-     * Record one run: catalog entry plus a level-2 series table.
+     * Record one run: catalog entry plus its series columns.
      *
      * All series must have the same length (one value per interval)
      * and the same sampling interval.
@@ -131,12 +136,11 @@ class Database
     std::vector<cminer::ts::TimeSeries> allSeries(RunId id) const;
 
     /**
-     * Zero-copy view of one event's sampled values: a level-2 table
-     * column in RAM mode, a mapped (or buffered) segment column
-     * out-of-core. Fatal when the run or event is absent. Valid until
-     * the next mutation of the database (which out-of-core includes a
-     * seal or compaction) — readers concurrent with ingest must pin a
-     * snapshot() and read through it instead.
+     * Zero-copy view of one event's sampled values: a buffered column
+     * or a mapped segment column. Fatal when the run or event is
+     * absent. Valid until the next mutation of the database (which
+     * out-of-core includes a seal or compaction) — readers concurrent
+     * with ingest must pin a snapshot() and read through it instead.
      */
     std::span<const double> seriesValues(RunId id,
                                          const std::string &event) const;
@@ -148,31 +152,19 @@ class Database
     std::size_t seriesLength(RunId id) const;
 
     /**
-     * Pin a consistent view of every run for reading. The snapshot
-     * stays valid — including every span it hands out — across
-     * concurrent addRun/flush and background compaction. In-RAM
-     * databases return a borrowing snapshot (the Database must outlive
-     * it); out-of-core snapshots are self-contained.
+     * Pin a consistent view of every run for reading. The snapshot is
+     * self-contained and stays valid — including every span it hands
+     * out — across concurrent addRun/flush and background compaction.
      */
     StoreSnapshot snapshot() const;
 
     /**
-     * Direct access to the level-1 catalog table. In-RAM mode only:
-     * fatal on an out-of-core database (which has no Table-backed
-     * catalog — use runInfo()/findRuns()/snapshot()).
-     */
-    const Table &catalog() const;
-
-    /** Direct access to a run's level-2 table. In-RAM mode only. */
-    const Table &seriesTable(RunId id) const;
-
-    /**
-     * Persist to a single binary file in the checkpoint container
-     * format (util/binary_io.h, DESIGN.md §12). The write is atomic:
-     * data lands in a temp file renamed over the destination, so a
-     * mid-write failure never destroys the previous good file.
-     * In-RAM mode only: an out-of-core database is already durable on
-     * disk — use flush() as its durability barrier.
+     * Persist every run (sealed and buffered) as one segment file
+     * (store/segment.h) in the checkpoint container format
+     * (util/binary_io.h, DESIGN.md §12). The write is atomic: data
+     * lands in a temp file renamed over the destination, so a
+     * mid-write failure never destroys the previous good file — and
+     * saving over the file this database was loaded from is safe.
      * @throws util::FatalError on I/O failure
      */
     void save(const std::string &path) const;
@@ -182,7 +174,7 @@ class Database
 
     /**
      * Out-of-core durability barrier: seal the write buffer into a
-     * segment file. A no-op in RAM mode and on an empty buffer.
+     * segment file. A no-op in RAM and on an empty buffer.
      * @throws util::FatalError on I/O failure
      */
     void flush();
@@ -193,16 +185,20 @@ class Database
     /** Block until background store maintenance (compaction) is idle. */
     void waitForStoreMaintenance();
 
-    /** Out-of-core engine counters; zeroes in RAM mode. */
+    /** Engine counters (an in-RAM database only ever buffers). */
     StoreStats storeStats() const;
 
     /**
-     * Load from a binary file written by save(). Current (v2,
-     * container) and legacy (v1) formats both load; either way every
-     * count/length field is validated against the bytes actually in
-     * the file before any allocation, so truncated or corrupt input
-     * produces a clean error naming the byte offset — never an
-     * OOM-sized allocation or a silently zero-filled run.
+     * Load a file written by save(): the segment is memory-mapped,
+     * fully validated, and adopted as the database's one sealed
+     * segment; runs added afterwards are buffered in RAM. Files in the
+     * older `cminer-db` v2 container are imported read-only. Either
+     * way every count/length/offset field is validated against the
+     * bytes actually in the file before it is trusted, so truncated or
+     * corrupt input produces a clean error naming the byte offset —
+     * never an OOM-sized allocation or a silently zero-filled run. A
+     * segment whose run ids do not start at 0 (a shard lifted out of
+     * a store directory) is refused.
      * @throws util::FatalError on I/O failure or format mismatch
      */
     static Database load(const std::string &path);
@@ -222,15 +218,11 @@ class Database
     void exportCsv(const std::string &directory) const;
 
   private:
-    std::string microarch_;
-    RunId nextId_ = 0;
-    std::map<RunId, RunMetadata> runs_;
-    std::map<RunId, Table> seriesTables_;
-    std::map<RunId, double> intervalMs_;
-    Table catalog_;
+    explicit Database(std::shared_ptr<StoreIndex> store);
+
     /**
-     * Non-null in out-of-core mode; shared so a queued compaction task
-     * survives a move of the Database.
+     * The engine; shared so a queued compaction task survives a move
+     * of the Database. Null only in a moved-from Database.
      */
     std::shared_ptr<StoreIndex> store_;
 };

@@ -1,8 +1,8 @@
 /**
  * @file
  * Builds immutable segment files (store/segment.h) from runs held in
- * memory — the seal half of the out-of-core store, and the merge half
- * of its compactor.
+ * memory — the seal half of the out-of-core store, the merge half of
+ * its compactor, and Database::save().
  *
  * The writer accumulates non-owning references to run columns (spans
  * over write-buffer vectors when sealing, over mmap'd columns of the
@@ -29,7 +29,8 @@ namespace cminer::store {
 
 /**
  * One-shot builder of a segment file. Runs must be added in ascending,
- * contiguous id order (write() validates). The referenced metadata and
+ * contiguous id order (write() validates); with none added, write()
+ * lands an empty segment starting at id 0. The referenced metadata and
  * column storage must stay alive until write() returns.
  */
 class SegmentWriter

@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "store/database.h"
 #include "store/segment_writer.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -23,36 +22,87 @@ using cminer::util::StatusOr;
 // --- StoreSnapshot ---------------------------------------------------------
 
 StoreSnapshot::Location
-StoreSnapshot::locate(RunId id) const
+StoreSnapshot::locate(const Segments &segments, const Buffer &buffer,
+                      RunId id)
 {
     // Segments hold contiguous, ascending id ranges: binary-search the
     // one whose range starts at or before `id`.
     auto it = std::upper_bound(
-        segments_.begin(), segments_.end(), id,
+        segments.begin(), segments.end(), id,
         [](RunId want, const std::shared_ptr<const Segment> &seg) {
             return want < seg->firstId();
         });
-    if (it != segments_.begin()) {
+    if (it != segments.begin()) {
         const Segment &seg = **std::prev(it);
         if (seg.containsRun(id))
             return {&seg, static_cast<std::size_t>(id - seg.firstId()),
                     nullptr};
     }
-    if (!buffer_.empty()) {
-        const RunId first = buffer_.front()->meta.id;
+    if (!buffer.empty()) {
+        const RunId first = buffer.front()->meta.id;
         if (id >= first &&
-            id < first + static_cast<RunId>(buffer_.size()))
+            id < first + static_cast<RunId>(buffer.size()))
             return {nullptr, 0,
-                    buffer_[static_cast<std::size_t>(id - first)].get()};
+                    buffer[static_cast<std::size_t>(id - first)].get()};
     }
     return {};
+}
+
+StoreSnapshot::Location
+StoreSnapshot::at(const Segments &segments, const Buffer &buffer,
+                  RunId id)
+{
+    const Location loc = locate(segments, buffer, id);
+    if (!loc.found())
+        util::fatal("store: unknown run id " + std::to_string(id));
+    return loc;
+}
+
+const RunMetadata &
+StoreSnapshot::Location::meta() const
+{
+    return segment != nullptr ? segment->runMeta(ordinal)
+                              : buffered->meta;
+}
+
+double
+StoreSnapshot::Location::intervalMs() const
+{
+    return segment != nullptr ? segment->intervalMs(ordinal)
+                              : buffered->intervalMs;
+}
+
+std::size_t
+StoreSnapshot::Location::length() const
+{
+    return segment != nullptr ? segment->length(ordinal)
+                              : buffered->length;
+}
+
+std::span<const double>
+StoreSnapshot::Location::values(std::size_t event_index) const
+{
+    if (segment != nullptr)
+        return segment->column(ordinal, event_index);
+    CM_ASSERT(event_index < buffered->columns.size());
+    return buffered->columns[event_index];
+}
+
+std::span<const double>
+StoreSnapshot::Location::values(const std::string &event) const
+{
+    const RunMetadata &run = meta();
+    for (std::size_t e = 0; e < run.events.size(); ++e) {
+        if (run.events[e] == event)
+            return values(e);
+    }
+    util::fatal("store: run " + std::to_string(run.id) +
+                " has no event " + event);
 }
 
 std::size_t
 StoreSnapshot::runCount() const
 {
-    if (ram_ != nullptr)
-        return ram_->runCount();
     std::size_t n = buffer_.size();
     for (const auto &seg : segments_)
         n += seg->runCount();
@@ -62,90 +112,43 @@ StoreSnapshot::runCount() const
 bool
 StoreSnapshot::hasRun(RunId id) const
 {
-    if (ram_ != nullptr)
-        return id >= 0 &&
-               id < static_cast<RunId>(ram_->runCount());
-    const Location loc = locate(id);
-    return loc.segment != nullptr || loc.buffered != nullptr;
+    return locate(segments_, buffer_, id).found();
 }
 
 const RunMetadata &
 StoreSnapshot::runInfo(RunId id) const
 {
-    if (ram_ != nullptr)
-        return ram_->runInfo(id);
-    const Location loc = locate(id);
-    if (loc.segment != nullptr)
-        return loc.segment->runMeta(loc.ordinal);
-    if (loc.buffered != nullptr)
-        return loc.buffered->meta;
-    util::fatal("store: unknown run id " + std::to_string(id));
+    return at(segments_, buffer_, id).meta();
 }
 
 double
 StoreSnapshot::intervalMs(RunId id) const
 {
-    if (ram_ != nullptr)
-        return ram_->seriesIntervalMs(id);
-    const Location loc = locate(id);
-    if (loc.segment != nullptr)
-        return loc.segment->intervalMs(loc.ordinal);
-    if (loc.buffered != nullptr)
-        return loc.buffered->intervalMs;
-    util::fatal("store: unknown run id " + std::to_string(id));
+    return at(segments_, buffer_, id).intervalMs();
 }
 
 std::size_t
 StoreSnapshot::length(RunId id) const
 {
-    if (ram_ != nullptr)
-        return ram_->seriesLength(id);
-    const Location loc = locate(id);
-    if (loc.segment != nullptr)
-        return loc.segment->length(loc.ordinal);
-    if (loc.buffered != nullptr)
-        return loc.buffered->length;
-    util::fatal("store: unknown run id " + std::to_string(id));
+    return at(segments_, buffer_, id).length();
 }
 
 std::span<const double>
 StoreSnapshot::values(RunId id, std::size_t event_index) const
 {
-    if (ram_ != nullptr) {
-        const RunMetadata &meta = ram_->runInfo(id);
-        CM_ASSERT(event_index < meta.events.size());
-        return ram_->seriesValues(id, meta.events[event_index]);
-    }
-    const Location loc = locate(id);
-    if (loc.segment != nullptr)
-        return loc.segment->column(loc.ordinal, event_index);
-    if (loc.buffered != nullptr) {
-        CM_ASSERT(event_index < loc.buffered->columns.size());
-        return loc.buffered->columns[event_index];
-    }
-    util::fatal("store: unknown run id " + std::to_string(id));
+    return at(segments_, buffer_, id).values(event_index);
 }
 
 std::span<const double>
 StoreSnapshot::values(RunId id, const std::string &event) const
 {
-    if (ram_ != nullptr)
-        return ram_->seriesValues(id, event);
-    const RunMetadata &meta = runInfo(id);
-    for (std::size_t e = 0; e < meta.events.size(); ++e) {
-        if (meta.events[e] == event)
-            return values(id, e);
-    }
-    util::fatal("store: run " + std::to_string(id) +
-                " has no event " + event);
+    return at(segments_, buffer_, id).values(event);
 }
 
 std::vector<RunId>
 StoreSnapshot::findRuns(const std::string &program,
                         const std::string &mode) const
 {
-    if (ram_ != nullptr)
-        return ram_->findRuns(program, mode);
     std::vector<RunId> ids;
     for (const auto &seg : segments_) {
         for (const std::size_t ordinal : seg->runsForProgram(program)) {
@@ -170,6 +173,21 @@ StoreSnapshot::findRuns(const std::string &program,
 StoreIndex::StoreIndex(StoreOptions options)
     : options_(std::move(options))
 {
+}
+
+std::shared_ptr<StoreIndex>
+StoreIndex::inMemory(std::string microarch,
+                     std::shared_ptr<const Segment> loaded)
+{
+    StoreOptions options;
+    options.microarch = std::move(microarch);
+    std::shared_ptr<StoreIndex> index(new StoreIndex(std::move(options)));
+    if (loaded != nullptr) {
+        index->nextId_ = loaded->lastId() + 1;
+        index->sealedRuns_ = loaded->runCount();
+        index->segments_.push_back(std::move(loaded));
+    }
+    return index;
 }
 
 StoreIndex::~StoreIndex()
@@ -329,7 +347,7 @@ StoreIndex::addRun(const std::string &program, const std::string &suite,
         run->meta.seriesTable = "run_" + std::to_string(id);
         bufferBytes_ += run->payloadBytes();
         buffer_.push_back(std::move(run));
-        should_seal = bufferBytes_ >= sealThreshold();
+        should_seal = persistent() && bufferBytes_ >= sealThreshold();
     }
     if (should_seal) {
         const Status sealed = seal();
@@ -388,6 +406,8 @@ StoreIndex::seal()
 Status
 StoreIndex::flush()
 {
+    if (!persistent())
+        return Status::okStatus();
     const Status sealed = seal();
     if (sealed.ok())
         maybeCompact();
@@ -533,6 +553,13 @@ StoreIndex::runCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return sealedRuns_ + buffer_.size();
+}
+
+StoreSnapshot::Location
+StoreIndex::at(RunId id) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return StoreSnapshot::at(segments_, buffer_, id);
 }
 
 std::vector<RunId>

@@ -1,10 +1,15 @@
 /**
  * @file
- * The out-of-core store engine behind `Database` (DESIGN.md §15): an
+ * The store engine behind every `Database` (DESIGN.md §15): an
  * in-memory write buffer that absorbs addRun, seals into immutable
  * memory-mapped segment files (store/segment.h) when it crosses a size
  * threshold, and a background compactor that merges small segments on
  * a caller-provided ThreadPool.
+ *
+ * An in-RAM database is the same engine without a directory: its
+ * buffer never seals and nothing compacts, because there is nowhere to
+ * write. Database::load() adopts a saved file as its one sealed
+ * segment and buffers new runs after it.
  *
  * Concurrency contract:
  *  - Mutations (addRun / flush) are single-writer: at most one thread
@@ -16,8 +21,9 @@
  *    any number of subsequent seals and compactions. This mirrors the
  *    serving daemon's artifact-snapshot rule: a batch is processed
  *    against the state it was admitted under, never a mid-flight swap.
- *  - Direct (snapshot-free) readers get the in-RAM Database contract:
- *    results are valid until the next mutation or maintenance step.
+ *  - Direct (snapshot-free) readers resolve one run under the mutex;
+ *    their results are valid until the next mutation or maintenance
+ *    step.
  *
  * Durability: sealed segments are durable the moment addRun returns
  * (atomic temp+rename per segment); the write buffer is not until
@@ -65,8 +71,8 @@ struct StoreOptions
      * sealThresholdBytes (default memoryBudgetBytes / 8), so buffered
      * data never exceeds one threshold's worth plus the run being
      * added. Catalog metadata (program names, event lists) stays in
-     * RAM in both modes — the budget governs the series payloads,
-     * which dominate at fleet scale.
+     * RAM — the budget governs the series payloads, which dominate at
+     * fleet scale.
      */
     std::size_t memoryBudgetBytes = 64ull << 20;
     /** Seal threshold override; 0 derives memoryBudgetBytes / 8. */
@@ -102,13 +108,10 @@ struct StoreStats
 };
 
 /**
- * A pinned, immutable view of the store at one instant. Self-contained
- * for an out-of-core database: holds shared ownership of the segments
- * and buffered runs it was built from, so every span it hands out
- * stays valid for the snapshot's lifetime regardless of seals and
- * compactions happening behind it. For an in-RAM database it borrows
- * the Database (which must outlive it) — in-RAM run tables are never
- * mutated after insertion, so the same validity guarantee holds.
+ * A pinned, immutable view of the store at one instant. Self-contained:
+ * holds shared ownership of the segments and buffered runs it was built
+ * from, so every span it hands out stays valid for the snapshot's
+ * lifetime regardless of seals and compactions happening behind it.
  */
 class StoreSnapshot
 {
@@ -147,28 +150,45 @@ class StoreSnapshot
     friend class StoreIndex;
     friend class Database;
 
-    /** Where one run lives within this snapshot. */
+    using Segments = std::vector<std::shared_ptr<const Segment>>;
+    using Buffer = std::vector<std::shared_ptr<const BufferedRun>>;
+
+    /** Where one run lives: a segment ordinal or a buffered run. */
     struct Location
     {
         const Segment *segment = nullptr; ///< null -> buffered
         std::size_t ordinal = 0;          ///< segment ordinal
         const BufferedRun *buffered = nullptr;
+
+        bool found() const
+        {
+            return segment != nullptr || buffered != nullptr;
+        }
+        const RunMetadata &meta() const;
+        double intervalMs() const;
+        std::size_t length() const;
+        std::span<const double> values(std::size_t event_index) const;
+        std::span<const double> values(const std::string &event) const;
     };
 
-    Location locate(RunId id) const;
+    /** Find `id` among contiguous segments then the buffer. */
+    static Location locate(const Segments &segments,
+                           const Buffer &buffer, RunId id);
 
-    /** In-RAM delegation target (null for out-of-core snapshots). */
-    const Database *ram_ = nullptr;
+    /** locate(), fatal for unknown ids. */
+    static Location at(const Segments &segments, const Buffer &buffer,
+                       RunId id);
+
     /** Pinned segments, ascending by firstId, contiguous ids. */
-    std::vector<std::shared_ptr<const Segment>> segments_;
+    Segments segments_;
     /** Pinned buffered runs, ascending ids after the last segment. */
-    std::vector<std::shared_ptr<const BufferedRun>> buffer_;
+    Buffer buffer_;
 };
 
 /**
- * The mutable out-of-core engine. One instance per out-of-core
- * Database, held by shared_ptr so a move of the Database never
- * invalidates the `this` captured by a queued compaction task.
+ * The mutable store engine. One instance per Database, held by
+ * shared_ptr so a move of the Database never invalidates the `this`
+ * captured by a queued compaction task.
  */
 class StoreIndex
 {
@@ -189,16 +209,20 @@ class StoreIndex
     const std::string &microarch() const { return options_.microarch; }
 
     /**
-     * Record one run (single-writer). Validation mirrors
-     * Database::tryAddRun, including the mixed-sampling-interval
-     * rejection. May seal the write buffer inline before returning.
+     * Record one run (single-writer). An empty series list, mismatched
+     * series lengths, mixed sampling intervals, or a non-finite
+     * execution time are a DataError and record nothing. May seal the
+     * write buffer inline before returning.
      */
     cminer::util::StatusOr<RunId>
     addRun(const std::string &program, const std::string &suite,
            const std::string &mode, double exec_time_ms,
            const std::vector<cminer::ts::TimeSeries> &series);
 
-    /** Seal whatever the write buffer holds (durability barrier). */
+    /**
+     * Seal whatever the write buffer holds (durability barrier). A
+     * no-op without a directory.
+     */
     cminer::util::Status flush();
 
     /** Block until any queued/running compaction finishes. */
@@ -216,7 +240,29 @@ class StoreIndex
     StoreStats stats() const;
 
   private:
+    friend class Database;
+
     explicit StoreIndex(StoreOptions options);
+
+    /**
+     * A directory-less index (Database's in-RAM mode): never seals or
+     * compacts. A non-null `loaded` segment (Database::load) becomes
+     * its only sealed segment; new runs buffer after it.
+     */
+    static std::shared_ptr<StoreIndex>
+    inMemory(std::string microarch,
+             std::shared_ptr<const Segment> loaded = nullptr);
+
+    /** True when the index writes segments (has a directory). */
+    bool persistent() const { return !options_.directory.empty(); }
+
+    /**
+     * Resolve one run under the mutex without pinning a snapshot —
+     * Database's direct readers, so a per-run loop stays O(runs).
+     * Fatal for unknown ids; valid until the next mutation or
+     * maintenance step.
+     */
+    StoreSnapshot::Location at(RunId id) const;
 
     std::size_t sealThreshold() const;
     std::size_t compactTarget() const;

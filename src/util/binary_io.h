@@ -140,8 +140,8 @@ class BinaryWriter
  *
  * Container mode (fromBytes/open/fromView) parses and validates the
  * header and exposes sections; raw mode (raw/rawView) is a plain
- * bounded cursor for legacy formats that predate the container (the v1
- * database file). The *View variants do not own the bytes — the segment
+ * bounded cursor for byte layouts without the container header (the
+ * serve wire frames). The *View variants do not own the bytes — the segment
  * store parses container headers straight over a memory-mapped file —
  * so the caller must keep the underlying storage alive for the
  * reader's lifetime.

@@ -2,8 +2,8 @@
  * @file
  * The persistence layer (ctest label "persistence"): checkpoint
  * container round trips, bounded-read corruption handling, model and
- * MAPM-artifact save/load bit-identity, database v2 + legacy v1
- * loading, atomic writes, and the mapm/predict CLI serving path.
+ * MAPM-artifact save/load bit-identity, database segment save/load and
+ * v2 import, atomic writes, and the mapm/predict CLI serving path.
  *
  * The corruption sweeps are meant to run under ASan/UBSan: every
  * truncation and byte flip must produce a clean Status/FatalError,
@@ -27,6 +27,7 @@
 #include "ml/model_io.h"
 #include "pmu/event.h"
 #include "store/database.h"
+#include "store/segment.h"
 #include "ts/time_series.h"
 #include "util/binary_io.h"
 #include "util/error.h"
@@ -116,57 +117,38 @@ makeRunSeries()
             TimeSeries("IPC", {0.5, 0.6, 0.7}, 200.0)};
 }
 
-// Little-endian raw encoders replicating the legacy v1 database
-// layout, so the compatibility tests are independent of the new
-// writer.
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putF64(std::string &out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-void
-putStr(std::string &out, std::string_view s)
-{
-    putU64(out, s.size());
-    out.append(s.data(), s.size());
-}
-
-/** A well-formed legacy v1 database file: one run, two events. */
+/**
+ * A `cminer-db` v2 database file holding `programs` (suite "hibench",
+ * alternating mlpx/ocoe, exec time 42, 24, ...) over makeRunSeries(),
+ * encoded independently of the store: the layout of every .cmdb saved
+ * before save() wrote segments. `length` overrides the per-run sample
+ * count field (the payload still holds three samples per event).
+ */
 std::string
-legacyV1Bytes()
+v2Bytes(const std::vector<std::string> &programs,
+        std::uint64_t length = 3)
 {
-    std::string b;
-    b.append("CMDB", 4);
-    putU64(b, 1); // version
-    putStr(b, "haswell-e");
-    putU64(b, 1); // run count
-    putU64(b, 0); // original id
-    putStr(b, "wordcount");
-    putStr(b, "hibench");
-    putStr(b, "mlpx");
-    putF64(b, 42.0);  // exec time
-    putF64(b, 200.0); // interval
-    putU64(b, 2);     // event count
-    putU64(b, 3);     // length
-    putStr(b, "EV_A");
-    putF64(b, 1.0);
-    putF64(b, 2.0);
-    putF64(b, 3.0);
-    putStr(b, "IPC");
-    putF64(b, 0.5);
-    putF64(b, 0.6);
-    putF64(b, 0.7);
-    return b;
+    BinaryWriter out("cminer-db", 2);
+    out.beginSection("runs");
+    out.str("haswell-e");
+    out.u64(programs.size());
+    for (std::size_t r = 0; r < programs.size(); ++r) {
+        const auto series = makeRunSeries();
+        out.u64(r);
+        out.str(programs[r]);
+        out.str("hibench");
+        out.str(r % 2 == 0 ? "mlpx" : "ocoe");
+        out.f64(42.0 - 18.0 * static_cast<double>(r));
+        out.f64(series.front().intervalMs());
+        out.u64(series.size());
+        out.u64(length);
+        for (const auto &s : series) {
+            out.str(s.eventName());
+            out.f64Span(s.values());
+        }
+    }
+    out.endSection();
+    return out.finish();
 }
 
 // --- container format -----------------------------------------------------
@@ -492,13 +474,15 @@ TEST(MapmArtifact, RejectsEventListModelMismatch)
 
 TEST(DatabaseCheckpoint, V2RoundTripAndByteStability)
 {
-    const std::string path = tmpPath("db_v2.cmdb");
+    const std::string path = tmpPath("db_segment.cmdb");
     {
         store::Database db("haswell-e");
         db.addRun("wordcount", "hibench", "mlpx", 42.0, makeRunSeries());
         db.addRun("sort", "hibench", "ocoe", 24.0, makeRunSeries());
         db.save(path);
     }
+    // save() writes one segment.
+    EXPECT_TRUE(store::Segment::open(path).ok());
     const store::Database loaded = store::Database::load(path);
     EXPECT_EQ(loaded.microarch(), "haswell-e");
     EXPECT_EQ(loaded.runCount(), 2u);
@@ -510,53 +494,69 @@ TEST(DatabaseCheckpoint, V2RoundTripAndByteStability)
     EXPECT_DOUBLE_EQ(loaded.seriesIntervalMs(runs[0]), 200.0);
 
     // save(load(save(db))) is byte-identical.
-    const std::string path2 = tmpPath("db_v2_again.cmdb");
+    const std::string path2 = tmpPath("db_segment_again.cmdb");
     loaded.save(path2);
     EXPECT_EQ(readBytes(path), readBytes(path2));
     std::filesystem::remove(path);
     std::filesystem::remove(path2);
 }
 
-TEST(DatabaseCheckpoint, LegacyV1FilesStillLoad)
+TEST(DatabaseCheckpoint, V2FilesStillLoad)
 {
-    const std::string path = tmpPath("db_v1.cmdb");
-    writeBytes(path, legacyV1Bytes());
-    const store::Database db = store::Database::load(path);
+    // db_v2_two_runs.cmdb was written by the v2 save() itself; the
+    // helper must reproduce it byte for byte, so the sweeps below run
+    // over genuine v2 files.
+    const std::string golden =
+        std::string(CMINER_GOLDEN_DIR) + "/db_v2_two_runs.cmdb";
+    ASSERT_EQ(readBytes(golden), v2Bytes({"wordcount", "sort"}));
+
+    const store::Database db = store::Database::load(golden);
     EXPECT_EQ(db.microarch(), "haswell-e");
-    EXPECT_EQ(db.runCount(), 1u);
-    const auto runs = db.findRuns("wordcount", "mlpx");
+    ASSERT_EQ(db.runCount(), 2u);
+    const auto runs = db.findRuns("sort", "ocoe");
     ASSERT_EQ(runs.size(), 1u);
-    EXPECT_DOUBLE_EQ(db.runInfo(runs[0]).execTimeMs, 42.0);
+    EXPECT_EQ(runs[0], 1);
+    EXPECT_DOUBLE_EQ(db.runInfo(runs[0]).execTimeMs, 24.0);
     const TimeSeries ipc = db.series(runs[0], "IPC");
     ASSERT_EQ(ipc.size(), 3u);
     EXPECT_DOUBLE_EQ(ipc.at(2), 0.7);
     EXPECT_DOUBLE_EQ(db.seriesIntervalMs(runs[0]), 200.0);
+
+    // Re-saved, an imported database is a segment with the same runs.
+    const std::string path = tmpPath("db_v2_resaved.cmdb");
+    db.save(path);
+    const store::Database again = store::Database::load(path);
+    ASSERT_EQ(again.runCount(), 2u);
+    for (store::RunId id = 0; id < 2; ++id) {
+        EXPECT_EQ(again.runInfo(id).program, db.runInfo(id).program);
+        EXPECT_EQ(again.allSeries(id)[1].values(),
+                  db.allSeries(id)[1].values());
+    }
     std::filesystem::remove(path);
 }
 
-TEST(DatabaseCheckpoint, LegacyV1InflatedLengthIsACleanError)
+TEST(DatabaseCheckpoint, V1FilesAreACleanError)
 {
-    // Regression for the pre-checkpoint loader: a corrupt length field
-    // used to drive `std::vector<double> values(length)` directly — a
-    // multi-GB allocation attempt on a 200-byte file. Now it must be a
-    // Status naming the byte offset.
-    std::string b;
-    b.append("CMDB", 4);
-    putU64(b, 1);
-    putStr(b, "haswell-e");
-    putU64(b, 1);
-    putU64(b, 0);
-    putStr(b, "wordcount");
-    putStr(b, "hibench");
-    putStr(b, "mlpx");
-    putF64(b, 42.0);
-    putF64(b, 200.0);
-    putU64(b, 2);
-    putU64(b, 1ULL << 60); // inflated sample count
-    putStr(b, "EV_A");
+    // The pre-container v1 layout ("CMDB", u64 version 1, microarch,
+    // run records) is no longer read.
+    std::string v1("CMDB\x01\0\0\0\0\0\0\0", 12);
+    v1 += std::string("\x09\0\0\0\0\0\0\0haswell-e", 17);
+    const std::string path = tmpPath("db_v1.cmdb");
+    writeBytes(path, v1);
+    auto loaded = store::Database::tryLoad(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("magic"), std::string::npos)
+        << loaded.status().toString();
+    EXPECT_THROW(store::Database::load(path), FatalError);
+    std::filesystem::remove(path);
+}
 
-    const std::string path = tmpPath("db_v1_inflated.cmdb");
-    writeBytes(path, b);
+TEST(DatabaseCheckpoint, V2InflatedLengthIsACleanError)
+{
+    // A corrupt sample count must not drive a multi-GB allocation on a
+    // 400-byte file: it is a Status naming the byte offset.
+    const std::string path = tmpPath("db_v2_inflated.cmdb");
+    writeBytes(path, v2Bytes({"wordcount"}, 1ULL << 60));
     auto loaded = store::Database::tryLoad(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("offset"),
@@ -565,27 +565,12 @@ TEST(DatabaseCheckpoint, LegacyV1InflatedLengthIsACleanError)
     std::filesystem::remove(path);
 }
 
-TEST(DatabaseCheckpoint, LegacyV1TruncationAtEveryByteFailsCleanly)
-{
-    const std::string bytes = legacyV1Bytes();
-    const std::string path = tmpPath("db_v1_trunc.cmdb");
-    for (std::size_t len = 4; len < bytes.size(); ++len) {
-        writeBytes(path, std::string_view(bytes).substr(0, len));
-        auto loaded = store::Database::tryLoad(path);
-        ASSERT_FALSE(loaded.ok()) << "prefix of " << len << " bytes";
-    }
-    std::filesystem::remove(path);
-}
-
 TEST(DatabaseCheckpoint, V2TruncationAtEveryByteFailsCleanly)
 {
+    const std::string bytes = v2Bytes({"wordcount"});
     const std::string path = tmpPath("db_v2_trunc.cmdb");
-    {
-        store::Database db("haswell-e");
-        db.addRun("wordcount", "hibench", "mlpx", 42.0, makeRunSeries());
-        db.save(path);
-    }
-    const std::string bytes = readBytes(path);
+    writeBytes(path, bytes);
+    ASSERT_TRUE(store::Database::tryLoad(path).ok());
     for (std::size_t len = 0; len < bytes.size(); ++len) {
         writeBytes(path, std::string_view(bytes).substr(0, len));
         auto loaded = store::Database::tryLoad(path);

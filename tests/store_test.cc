@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the embedded store: cell values, schema validation,
- * table scans, the two-level database organization, binary persistence
- * round-trips, CSV export, and the out-of-core segment store — seal/
+ * Unit tests for the embedded store: the two-level database
+ * organization, single-segment save/load round trips, CSV export, and
+ * the out-of-core segment store — seal/
  * compaction lifecycle, snapshot pinning, open-time corruption refusal
  * (checkpoint_test's truncation/byte-flip sweep style), and snapshot
  * stability under concurrent ingest and maintenance.
@@ -21,13 +21,12 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "store/database.h"
 #include "store/segment.h"
 #include "store/store_index.h"
-#include "store/table.h"
-#include "store/value.h"
 #include "ts/time_series.h"
 #include "util/error.h"
 #include "util/status.h"
@@ -40,124 +39,12 @@ using cminer::ts::TimeSeries;
 using cminer::util::FatalError;
 using cminer::util::StatusCode;
 
-// --- Value ------------------------------------------------------------
-
-TEST(Value, TypeTags)
-{
-    EXPECT_EQ(valueType(Value(std::int64_t{3})), ColumnType::Integer);
-    EXPECT_EQ(valueType(Value(3.5)), ColumnType::Real);
-    EXPECT_EQ(valueType(Value(std::string("x"))), ColumnType::Text);
-}
-
-TEST(Value, Extractors)
-{
-    EXPECT_EQ(asInteger(Value(std::int64_t{7})), 7);
-    EXPECT_DOUBLE_EQ(asReal(Value(2.5)), 2.5);
-    EXPECT_DOUBLE_EQ(asReal(Value(std::int64_t{4})), 4.0); // widening
-    EXPECT_EQ(asText(Value(std::string("abc"))), "abc");
-}
-
-TEST(Value, ExtractorTypeMismatchThrows)
-{
-    EXPECT_THROW(asInteger(Value(1.5)), FatalError);
-    EXPECT_THROW(asReal(Value(std::string("x"))), FatalError);
-    EXPECT_THROW(asText(Value(std::int64_t{1})), FatalError);
-}
-
-TEST(Value, ToStringRendering)
-{
-    EXPECT_EQ(toString(Value(std::int64_t{42})), "42");
-    EXPECT_EQ(toString(Value(std::string("text"))), "text");
-    EXPECT_EQ(toString(Value(1.5)), "1.5");
-}
-
-// --- Schema / Table -----------------------------------------------------
-
-Schema
-testSchema()
-{
-    return Schema({{"id", ColumnType::Integer},
-                   {"name", ColumnType::Text},
-                   {"value", ColumnType::Real}});
-}
-
-TEST(Schema, DuplicateColumnRejected)
-{
-    EXPECT_THROW(Schema({{"a", ColumnType::Integer},
-                         {"a", ColumnType::Real}}),
-                 FatalError);
-}
-
-TEST(Schema, EmptyColumnNameRejected)
-{
-    EXPECT_THROW(Schema({{"", ColumnType::Integer}}), FatalError);
-}
-
-TEST(Schema, IndexLookup)
-{
-    const Schema schema = testSchema();
-    EXPECT_EQ(schema.indexOf("value"), 2u);
-    EXPECT_TRUE(schema.hasColumn("name"));
-    EXPECT_FALSE(schema.hasColumn("missing"));
-    EXPECT_THROW(schema.indexOf("missing"), FatalError);
-}
-
-TEST(Table, InsertAndScan)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), 1.5});
-    table.insert({std::int64_t{2}, std::string("b"), 2.5});
-    EXPECT_EQ(table.rowCount(), 2u);
-    EXPECT_EQ(asText(table.row(1)[1]), "b");
-
-    const auto matched = table.select([](const Row &row) {
-        return asReal(row[2]) > 2.0;
-    });
-    ASSERT_EQ(matched.size(), 1u);
-    EXPECT_EQ(asInteger(matched[0][0]), 2);
-}
-
-TEST(Table, ArityMismatchRejected)
-{
-    Table table("t", testSchema());
-    EXPECT_THROW(table.insert({std::int64_t{1}}), FatalError);
-}
-
-TEST(Table, TypeMismatchRejected)
-{
-    Table table("t", testSchema());
-    EXPECT_THROW(
-        table.insert({std::string("bad"), std::string("a"), 1.0}),
-        FatalError);
-}
-
-TEST(Table, IntegerWidensIntoRealColumn)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), std::int64_t{3}});
-    EXPECT_DOUBLE_EQ(asReal(table.row(0)[2]), 3.0);
-    // Stored normalized as a real.
-    EXPECT_EQ(valueType(table.row(0)[2]), ColumnType::Real);
-}
-
-TEST(Table, ColumnProjection)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), 1.0});
-    table.insert({std::int64_t{2}, std::string("b"), 4.0});
-    const auto values = table.numericColumn("value");
-    ASSERT_EQ(values.size(), 2u);
-    EXPECT_DOUBLE_EQ(values[1], 4.0);
-}
-
-TEST(Table, ClearKeepsSchema)
-{
-    Table table("t", testSchema());
-    table.insert({std::int64_t{1}, std::string("a"), 1.0});
-    table.clear();
-    EXPECT_EQ(table.rowCount(), 0u);
-    EXPECT_EQ(table.schema().size(), 3u);
-}
+// The engine is single-writer: a copy would alias it.
+static_assert(!std::is_copy_constructible_v<Database> &&
+                  !std::is_copy_assignable_v<Database> &&
+                  std::is_nothrow_move_constructible_v<Database> &&
+                  std::is_nothrow_move_assignable_v<Database>,
+              "Database is move-only");
 
 // --- Database ----------------------------------------------------------
 
@@ -227,15 +114,18 @@ TEST(Database, TwoLevelOrganization)
     Database db;
     const RunId id =
         db.addRun("sort", "hibench", "ocoe", 10.0, makeSeries());
-    // Level 1: catalog row for the run, naming the level-2 table.
-    EXPECT_EQ(db.catalog().rowCount(), 1u);
-    const auto &catalog_row = db.catalog().row(0);
-    EXPECT_EQ(asText(catalog_row[6]), "run_" + std::to_string(id));
-    // Level 2: the per-run series table with one column per event.
-    const Table &level2 = db.seriesTable(id);
-    EXPECT_EQ(level2.rowCount(), 3u); // intervals
-    EXPECT_TRUE(level2.schema().hasColumn("EV_A"));
-    EXPECT_TRUE(level2.schema().hasColumn("interval"));
+    // Level 1: the catalog entry for the run, naming its series table.
+    EXPECT_EQ(db.runCount(), 1u);
+    const RunMetadata &meta = db.runInfo(id);
+    EXPECT_EQ(meta.seriesTable, "run_" + std::to_string(id));
+    EXPECT_EQ(meta.events, (std::vector<std::string>{"EV_A", "EV_B"}));
+    // Level 2: the run's series, one column per event, one value per
+    // interval.
+    const StoreSnapshot snap = db.snapshot();
+    EXPECT_EQ(snap.length(id), 3u);
+    ASSERT_EQ(snap.values(id, std::size_t{1}).size(), 3u);
+    EXPECT_EQ(snap.values(id, std::size_t{1})[2], 6.0);
+    EXPECT_EQ(snap.values(id, "EV_A")[0], 1.0);
 }
 
 TEST(Database, FindRunsByProgramAndMode)
@@ -473,9 +363,12 @@ TEST(Database, ExportCsvRemovesStaleRunFiles)
     big.exportCsv(dir);
     EXPECT_TRUE(std::filesystem::exists(dir + "/run_2.csv"));
 
-    // Files that are not ours must survive the cleanup.
+    // Files that are not ours must survive the cleanup — including a
+    // run_<digits>.csv whose number does not fit a run id.
     writeBytes(dir + "/notes.txt", "keep");
     writeBytes(dir + "/run_x.csv", "keep");
+    const std::string huge = "/run_123456789012345678901234.csv";
+    writeBytes(dir + huge, "keep");
 
     Database small;
     small.addRun("p", "s", "mlpx", 1.0, makeSeries());
@@ -489,6 +382,7 @@ TEST(Database, ExportCsvRemovesStaleRunFiles)
     EXPECT_FALSE(std::filesystem::exists(dir + "/run_2.csv"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/notes.txt"));
     EXPECT_TRUE(std::filesystem::exists(dir + "/run_x.csv"));
+    EXPECT_TRUE(std::filesystem::exists(dir + huge));
     std::filesystem::remove_all(dir);
 }
 
@@ -505,7 +399,6 @@ TEST(OutOfCoreDatabase, SealedStoreReopensWithIdenticalContents)
     constexpr std::size_t length = 64;
     {
         Database db = Database::openStore(options);
-        EXPECT_TRUE(db.outOfCore());
         for (std::size_t i = 0; i < runs; ++i)
             db.addRun("prog" + std::to_string(i % 3), "suite",
                       i % 2 != 0 ? "mlpx" : "ocoe",
@@ -558,25 +451,131 @@ TEST(OutOfCoreDatabase, SealedStoreReopensWithIdenticalContents)
     std::filesystem::remove_all(dir);
 }
 
-TEST(OutOfCoreDatabase, InRamOnlyApisRefuse)
+// --- single-segment persistence -----------------------------------------
+
+/** Every run of `a` equals the same run of `b`, sample for sample. */
+void
+expectSameRuns(const Database &a, const Database &b)
 {
-    const std::string dir = storeDir("api_refusal");
+    EXPECT_EQ(a.microarch(), b.microarch());
+    ASSERT_EQ(a.runCount(), b.runCount());
+    for (RunId id = 0; id < static_cast<RunId>(a.runCount()); ++id) {
+        const RunMetadata &ma = a.runInfo(id);
+        const RunMetadata &mb = b.runInfo(id);
+        EXPECT_EQ(ma.program, mb.program);
+        EXPECT_EQ(ma.suite, mb.suite);
+        EXPECT_EQ(ma.mode, mb.mode);
+        EXPECT_EQ(ma.execTimeMs, mb.execTimeMs);
+        ASSERT_EQ(ma.events, mb.events);
+        EXPECT_EQ(a.seriesIntervalMs(id), b.seriesIntervalMs(id));
+        for (const auto &event : ma.events) {
+            const auto va = a.seriesValues(id, event);
+            const auto vb = b.seriesValues(id, event);
+            ASSERT_EQ(va.size(), vb.size());
+            EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin()))
+                << "run " << id << " event " << event;
+        }
+    }
+}
+
+TEST(Database, EmptyDatabaseRoundTrips)
+{
+    const std::string path = "/tmp/cminer_db_empty.cmdb";
+    Database("skylake-x").save(path);
+    const Database loaded = Database::load(path);
+    EXPECT_EQ(loaded.microarch(), "skylake-x");
+    EXPECT_EQ(loaded.runCount(), 0u);
+    EXPECT_TRUE(loaded.programs().empty());
+    // A loaded empty database takes runs like a fresh one.
+    Database again = Database::load(path);
+    EXPECT_EQ(again.addRun("p", "s", "mlpx", 1.0, makeSeries()), 0);
+    std::filesystem::remove(path);
+}
+
+TEST(Database, LoadAddSaveOverTheMappedFileRoundTrips)
+{
+    const std::string path = "/tmp/cminer_db_resave.cmdb";
+    {
+        Database db("haswell-e");
+        db.addRun("wordcount", "hibench", "mlpx", 42.0, makeSeries());
+        db.save(path);
+    }
+    Database db = Database::load(path);
+    // The loaded run is served off the mapping of `path`; the new run
+    // is buffered after it. Saving over `path` replaces the file the
+    // mapping came from.
+    const RunId added = db.addRun("sort", "hibench", "ocoe", 24.0,
+                                  {TimeSeries("EV_A", {7.0, 8.0}, 5.0)});
+    EXPECT_EQ(added, 1);
+    db.save(path);
+    EXPECT_EQ(db.series(0, "EV_B").at(2), 6.0);
+
+    const Database reloaded = Database::load(path);
+    expectSameRuns(db, reloaded);
+    EXPECT_EQ(reloaded.runInfo(1).program, "sort");
+    EXPECT_EQ(reloaded.seriesIntervalMs(1), 5.0);
+    std::filesystem::remove(path);
+}
+
+TEST(Database, LoadRefusesAShardNotStartingAtRunZero)
+{
+    // The second segment of a store directory holds runs [4..7]; as a
+    // database file it would break every 0..runCount()-1 walk.
+    const std::string dir = storeDir("shard");
     StoreOptions options;
     options.directory = dir;
+    options.compactFanIn = 100;
     {
         Database db = Database::openStore(options);
-        db.addRun("p", "s", "mlpx", 1.0, makeRunSeries(8, 1.0));
-        // The Table-backed views and single-file save() belong to the
-        // in-RAM mode; out-of-core they must refuse loudly rather than
-        // return something half-true.
-        EXPECT_THROW(db.catalog(), FatalError);
-        EXPECT_THROW(db.seriesTable(0), FatalError);
-        EXPECT_THROW(db.save("/tmp/cminer_store_api.cmdb"), FatalError);
-        const auto status = db.trySave("/tmp/cminer_store_api.cmdb");
-        ASSERT_FALSE(status.ok());
-        EXPECT_NE(status.message().find("flush"), std::string::npos);
+        for (std::size_t i = 0; i < 8; ++i) {
+            db.addRun("p", "s", "mlpx", 1.0,
+                      makeRunSeries(16, static_cast<double>(i)));
+            if (i == 3)
+                db.flush();
+        }
+        db.flush();
+    }
+    std::string shard;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("seg_000000000004_", 0) == 0)
+            shard = entry.path().string();
+    }
+    ASSERT_FALSE(shard.empty());
+    const auto loaded = Database::tryLoad(shard);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::DataError);
+    EXPECT_NE(loaded.status().message().find("run id 4"),
+              std::string::npos);
+    EXPECT_THROW(Database::load(shard), FatalError);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(OutOfCoreDatabase, SaveWritesSealedAndBufferedRunsAsOneSegment)
+{
+    const std::string dir = storeDir("save");
+    const std::string path = dir + "_saved.cmdb";
+    StoreOptions options;
+    options.directory = dir;
+    options.sealThresholdBytes = 4096; // every 4th run seals
+    {
+        Database db = Database::openStore(options);
+        for (std::size_t i = 0; i < 10; ++i)
+            db.addRun("prog" + std::to_string(i % 3), "suite", "mlpx",
+                      static_cast<double>(i),
+                      makeRunSeries(64, static_cast<double>(i) * 1000.0));
+        const StoreStats stats = db.storeStats();
+        ASSERT_GT(stats.sealedRuns, 0u);
+        ASSERT_GT(stats.bufferedRuns, 0u);
+        db.save(path);
+
+        const Database loaded = Database::load(path);
+        expectSameRuns(db, loaded);
+        EXPECT_EQ(loaded.storeStats().segmentCount, 1u);
+        EXPECT_EQ(loaded.storeStats().sealedRuns, 10u);
     }
     std::filesystem::remove_all(dir);
+    std::filesystem::remove(path);
 }
 
 TEST(OutOfCoreDatabase, SnapshotSpansSurviveSealAndCompaction)
