@@ -93,7 +93,8 @@ struct MetricsGuard
 };
 
 std::uint64_t
-counterValue(util::MetricsRegistry &registry, const std::string &name)
+counterValue(const util::MetricsRegistry &registry,
+             const std::string &name)
 {
     for (const auto &[n, v] : registry.counters())
         if (n == name)
@@ -907,12 +908,12 @@ TEST(ServeScore, FlagsFaultInjectedRunsAtLowFalsePositiveRate)
     EXPECT_EQ(counters.scored, 2 * tests);
     EXPECT_EQ(counters.anomaliesFlagged,
               anomalous_flagged + clean_flagged);
-    EXPECT_EQ(counterValue(metrics.registry, "serve.scores"),
+    EXPECT_EQ(counterValue(server.metrics(), "serve.scores"),
               2 * tests);
     EXPECT_GE(counterValue(metrics.registry, "mining.scores"),
               2 * tests);
     EXPECT_EQ(
-        counterValue(metrics.registry, "serve.anomalies_flagged"),
+        counterValue(server.metrics(), "serve.anomalies_flagged"),
         anomalous_flagged + clean_flagged);
     EXPECT_EQ(
         counterValue(metrics.registry, "mining.anomalies_flagged"),
