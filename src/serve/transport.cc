@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "serve/server.h"
-#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace cminer::serve {
@@ -273,7 +272,7 @@ serveConnection(Server &server, FrameSource &source, FrameSink &sink)
             // Framing lost: a length-prefixed stream has no resync
             // point, so the connection is over. Count it, stop
             // reading, drain in-flight work below. Never abort.
-            util::count("serve.transport_errors");
+            server.countTransportError();
             result.transportStatus =
                 status.withContext("serve connection");
             break;
@@ -288,14 +287,14 @@ serveConnection(Server &server, FrameSource &source, FrameSink &sink)
             ++state->inFlight;
         }
         server.submitFrame(
-            std::move(payload), [state](std::string response) {
+            std::move(payload), [state, &server](std::string response) {
                 std::lock_guard<std::mutex> lock(state->mutex);
                 if (!state->sinkDead) {
                     const auto written =
                         state->sink->write(response);
                     if (!written.ok()) {
                         state->sinkDead = true;
-                        util::count("serve.transport_errors");
+                        server.countTransportError();
                     }
                 }
                 --state->inFlight;
