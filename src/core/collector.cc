@@ -139,7 +139,7 @@ DataCollector::collectOcoe(const SyntheticBenchmark &benchmark,
                     "than there are programmable counters; use "
                     "collectOcoePlan");
     }
-    const TrueTrace trace = benchmark.generateTrace(rng, config);
+    const TrueTrace trace = benchmark.generateTrace(rng, config, events);
     auto series = backend_->measureOcoe(trace, events, rng);
     return record(benchmark.name(), benchmark.suite(), "ocoe", trace,
                   std::move(series), rng);
@@ -178,7 +178,7 @@ DataCollector::tryCollectMlpx(const SyntheticBenchmark &benchmark,
         return launch.withContext("collector: launching MLPX run for " +
                                   benchmark.name());
 
-    const TrueTrace trace = benchmark.generateTrace(rng, config);
+    const TrueTrace trace = benchmark.generateTrace(rng, config, events);
     const MlpxSchedule schedule(events,
                                 backend_->config().programmableCounters,
                                 policy);

@@ -6,21 +6,35 @@ namespace cminer::pmu {
 
 TrueTrace::TrueTrace(std::size_t interval_count, std::size_t event_count,
                      double interval_ms)
+    : TrueTrace(interval_count, std::vector<bool>(event_count, true),
+                interval_ms)
+{
+}
+
+TrueTrace::TrueTrace(std::size_t interval_count,
+                     const std::vector<bool> &carried, double interval_ms)
     : intervalCount_(interval_count),
       intervalMs_(interval_ms),
-      counts_(event_count, std::vector<double>(interval_count, 0.0)),
+      counts_(carried.size()),
       ipc_(interval_count, 0.0)
 {
     CM_ASSERT(interval_count > 0);
-    CM_ASSERT(event_count > 0);
+    CM_ASSERT(!carried.empty());
     CM_ASSERT(interval_ms > 0.0);
+    for (EventId id = 0; id < carried.size(); ++id) {
+        if (carried[id])
+            counts_[id].assign(interval_count, 0.0);
+    }
 }
+
+// The interval bound is the row's own length, so it also rejects rows
+// the trace does not carry (they are empty).
 
 double
 TrueTrace::count(EventId event, std::size_t interval) const
 {
     CM_ASSERT(event < counts_.size());
-    CM_ASSERT(interval < intervalCount_);
+    CM_ASSERT(interval < counts_[event].size());
     return counts_[event][interval];
 }
 
@@ -28,7 +42,7 @@ void
 TrueTrace::setCount(EventId event, std::size_t interval, double value)
 {
     CM_ASSERT(event < counts_.size());
-    CM_ASSERT(interval < intervalCount_);
+    CM_ASSERT(interval < counts_[event].size());
     CM_ASSERT(value >= 0.0);
     counts_[event][interval] = value;
 }
@@ -36,14 +50,7 @@ TrueTrace::setCount(EventId event, std::size_t interval, double value)
 const std::vector<double> &
 TrueTrace::eventRow(EventId event) const
 {
-    CM_ASSERT(event < counts_.size());
-    return counts_[event];
-}
-
-std::vector<double> &
-TrueTrace::mutableEventRow(EventId event)
-{
-    CM_ASSERT(event < counts_.size());
+    CM_ASSERT(carries(event));
     return counts_[event];
 }
 

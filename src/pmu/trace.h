@@ -28,6 +28,10 @@ namespace cminer::pmu {
  * counts[e][t] is the true count of catalog event e during interval t.
  * Interval counts are non-negative; lengths are uniform across events
  * within a run but differ *between* runs (OS nondeterminism).
+ *
+ * A trace may carry only some events' rows (a generator asked for a
+ * narrow set): the others are empty, and reading one panics rather
+ * than returning a zero nobody simulated.
  */
 class TrueTrace
 {
@@ -42,11 +46,24 @@ class TrueTrace
     TrueTrace(std::size_t interval_count, std::size_t event_count,
               double interval_ms);
 
+    /**
+     * A trace carrying only the rows flagged in @p carried (one flag per
+     * catalog event); the other rows stay empty.
+     */
+    TrueTrace(std::size_t interval_count, const std::vector<bool> &carried,
+              double interval_ms);
+
     /** Number of sampling intervals. */
     std::size_t intervalCount() const { return intervalCount_; }
 
-    /** Number of events carried (catalog size). */
+    /** Number of event slots (catalog size), carried or not. */
     std::size_t eventCount() const { return counts_.size(); }
+
+    /** Whether the trace holds event e's row. */
+    bool carries(EventId event) const
+    {
+        return event < counts_.size() && !counts_[event].empty();
+    }
 
     /** Sampling interval in milliseconds. */
     double intervalMs() const { return intervalMs_; }
@@ -65,9 +82,6 @@ class TrueTrace
 
     /** Whole row for one event. */
     const std::vector<double> &eventRow(EventId event) const;
-
-    /** Mutable row for one event. */
-    std::vector<double> &mutableEventRow(EventId event);
 
     /** True IPC in interval t. */
     double ipc(std::size_t interval) const;

@@ -81,11 +81,33 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(draw % range);
 }
 
+namespace {
+
+/** Box-Muller radius and angle of a uniform pair. */
+double
+boxMullerRadius(double u1)
+{
+    return std::sqrt(-2.0 * std::log(u1));
+}
+
+double
+boxMullerAngle(double u2)
+{
+    return 2.0 * std::numbers::pi * u2;
+}
+
+} // namespace
+
 double
 Rng::gaussian()
 {
     if (hasCachedGaussian_) {
         hasCachedGaussian_ = false;
+        if (cachedIsUniforms_) {
+            cachedIsUniforms_ = false;
+            return boxMullerRadius(cachedU1_) *
+                   std::sin(boxMullerAngle(cachedU2_));
+        }
         return cachedGaussian_;
     }
     // Box-Muller; u1 must be strictly positive for the log.
@@ -94,11 +116,27 @@ Rng::gaussian()
         u1 = uniform();
     } while (u1 <= 0.0);
     const double u2 = uniform();
-    const double radius = std::sqrt(-2.0 * std::log(u1));
-    const double angle = 2.0 * std::numbers::pi * u2;
+    const double radius = boxMullerRadius(u1);
+    const double angle = boxMullerAngle(u2);
     cachedGaussian_ = radius * std::sin(angle);
     hasCachedGaussian_ = true;
     return radius * std::cos(angle);
+}
+
+void
+Rng::discardGaussian()
+{
+    if (hasCachedGaussian_) {
+        hasCachedGaussian_ = false;
+        cachedIsUniforms_ = false;
+        return;
+    }
+    do {
+        cachedU1_ = uniform();
+    } while (cachedU1_ <= 0.0);
+    cachedU2_ = uniform();
+    cachedIsUniforms_ = true;
+    hasCachedGaussian_ = true;
 }
 
 double

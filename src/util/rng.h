@@ -58,6 +58,13 @@ class Rng
     /** Normal draw with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 
+    /**
+     * Consume exactly the state one gaussian() call would, without the
+     * Box-Muller arithmetic: every later draw is bit-identical to what
+     * it would have been after gaussian().
+     */
+    void discardGaussian();
+
     /** Exponential draw with the given rate (lambda > 0). */
     double exponential(double rate);
 
@@ -111,6 +118,13 @@ class Rng
     std::uint64_t state_[4];
     bool hasCachedGaussian_ = false;
     double cachedGaussian_ = 0.0;
+    /**
+     * The cached half of a pair whose first half was discarded is kept
+     * as its uniforms and transformed only if someone reads it.
+     */
+    bool cachedIsUniforms_ = false;
+    double cachedU1_ = 0.0;
+    double cachedU2_ = 0.0;
 };
 
 } // namespace cminer::util

@@ -164,6 +164,50 @@ SyntheticBenchmark::durationFactor(const SparkConfig &config) const
 TrueTrace
 SyntheticBenchmark::generateTrace(Rng &rng, const SparkConfig &config) const
 {
+    return generate(rng, config, std::vector<bool>(catalog_.size(), true));
+}
+
+TrueTrace
+SyntheticBenchmark::generateTrace(Rng &rng, const SparkConfig &config,
+                                  const std::vector<EventId> &observed) const
+{
+    return generate(rng, config, neededEvents(observed));
+}
+
+std::vector<bool>
+SyntheticBenchmark::neededEvents(const std::vector<EventId> &observed) const
+{
+    std::vector<bool> needed(catalog_.size(), false);
+    for (const EventId id : observed) {
+        CM_ASSERT(id < needed.size());
+        needed[id] = true;
+    }
+    for (const EventId id : {fixedInst_, fixedCyc_, fixedRef_})
+        needed[id] = true;
+    for (EventId id = 0; id < gen_.size(); ++id) {
+        if (gen_[id].weight != 0.0)
+            needed[id] = true;
+    }
+    for (const auto &[a, b, weight] : pairTerms_)
+        needed[a] = needed[b] = true;
+    for (const auto &coupling : couplings_) {
+        if (coupling.ipcInteraction != 0.0)
+            needed[coupling.event] = true;
+    }
+    // Reverse order: a blend source that is itself blended earlier in
+    // the list gets its own source pulled in too.
+    for (auto it = derived_.rbegin(); it != derived_.rend(); ++it) {
+        const auto &[dst, src, blend] = *it;
+        if (needed[dst])
+            needed[src] = true;
+    }
+    return needed;
+}
+
+TrueTrace
+SyntheticBenchmark::generate(Rng &rng, const SparkConfig &config,
+                             const std::vector<bool> &needed) const
+{
     // Run length: config-driven factor times lognormal OS jitter.
     const double mean_n =
         spec_.meanIntervals * durationFactor(config) *
@@ -171,7 +215,7 @@ SyntheticBenchmark::generateTrace(Rng &rng, const SparkConfig &config) const
     const std::size_t n = static_cast<std::size_t>(
         std::clamp(mean_n, 80.0, 20000.0));
 
-    TrueTrace trace(n, catalog_.size(), spec_.intervalMs);
+    TrueTrace trace(n, needed, spec_.intervalMs);
 
     // Phase index per interval.
     std::vector<std::size_t> phase_of(n, 0);
@@ -201,12 +245,23 @@ SyntheticBenchmark::generateTrace(Rng &rng, const SparkConfig &config) const
         config_shift[coupling.event] +=
             coupling.eventShift * config.normalized(coupling.param);
 
-    // Latent activity per event.
-    std::vector<std::vector<double>> latent(
-        catalog_.size(), std::vector<double>(n, 0.0));
+    // Latent activity per needed event. An event nobody reads still
+    // makes the same draws in the same order, so the run's random stream
+    // does not depend on what was asked for; its row stays empty.
+    std::vector<std::vector<double>> latent(catalog_.size());
     for (EventId id = 0; id < catalog_.size(); ++id) {
         const auto &info = catalog_.info(id);
         const EventGen &g = gen_[id];
+        if (!needed[id]) {
+            rng.discardGaussian();
+            for (std::size_t t = 0; t < n; ++t) {
+                rng.discardGaussian();
+                if (g.spikeProb > 0.0 && rng.bernoulli(g.spikeProb))
+                    rng.gumbel(0.0, g.spikeScale);
+            }
+            continue;
+        }
+        latent[id].resize(n);
         double x = rng.gaussian(0.0, g.sigma);
         for (std::size_t t = 0; t < n; ++t) {
             const double u =
@@ -235,6 +290,8 @@ SyntheticBenchmark::generateTrace(Rng &rng, const SparkConfig &config) const
 
     // Derived-event blending (plants cross-event correlation).
     for (const auto &[dst, src, blend] : derived_) {
+        if (!needed[dst])
+            continue;
         for (std::size_t t = 0; t < n; ++t)
             latent[dst][t] =
                 blend * latent[src][t] + (1.0 - blend) * latent[dst][t];
@@ -266,7 +323,7 @@ SyntheticBenchmark::generateTrace(Rng &rng, const SparkConfig &config) const
         trace.setIpc(t, ipc);
 
         for (EventId id = 0; id < catalog_.size(); ++id) {
-            if (catalog_.info(id).fixedCounter)
+            if (catalog_.info(id).fixedCounter || !needed[id])
                 continue;
             const double count =
                 catalog_.info(id).baseRate * std::exp(latent[id][t]);

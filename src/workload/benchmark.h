@@ -2,8 +2,9 @@
  * @file
  * Synthetic cloud benchmarks with planted ground truth.
  *
- * Each benchmark generates TrueTraces: per-interval activity for all 229
- * catalog events plus true IPC. The generative model is
+ * Each benchmark generates TrueTraces: per-interval activity for the 229
+ * catalog events (or the subset a measurement reads) plus true IPC.
+ * The generative model is
  *
  *   x_e(t)   = AR(1) latent activity + phase offsets + config shifts
  *              (+ GEV spikes for long-tailed events, + cold-start boost
@@ -145,6 +146,18 @@ class SyntheticBenchmark
                   const SparkConfig &config = SparkConfig()) const;
 
     /**
+     * Generate one run's trace carrying only what a measurement of
+     * @p observed can read: those rows, the fixed counters, and every
+     * event the IPC model reads (see neededEvents()). The other events
+     * draw the same random values and are dropped, so the carried rows,
+     * the IPC row and the rng's next state are bit-identical to the
+     * full trace's.
+     */
+    cminer::pmu::TrueTrace
+    generateTrace(cminer::util::Rng &rng, const SparkConfig &config,
+                  const std::vector<cminer::pmu::EventId> &observed) const;
+
+    /**
      * Deterministic part of the runtime model: the factor the given
      * configuration applies to the mean run length.
      */
@@ -180,6 +193,20 @@ class SyntheticBenchmark
 
     /** Evaluate the deterministic profile at normalized time u. */
     static double profileValue(const EventGen &gen, double u);
+
+    /**
+     * Closure of rows a measurement of @p observed reads: the observed
+     * events, the fixed counters, every IPC-weighted, interaction-pair
+     * and IPC-coupled event, and the blend source of each needed
+     * derived event.
+     */
+    std::vector<bool>
+    neededEvents(const std::vector<cminer::pmu::EventId> &observed) const;
+
+    /** The one generator body: simulates the events flagged in @p needed. */
+    cminer::pmu::TrueTrace generate(cminer::util::Rng &rng,
+                                    const SparkConfig &config,
+                                    const std::vector<bool> &needed) const;
 
     void resolveStructure();
 

@@ -111,6 +111,25 @@ TEST(Rng, GaussianParameterized)
     EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
+// Whatever the pair parity, a discarded gaussian leaves every later
+// draw bit-identical to a drawn one.
+TEST(Rng, DiscardGaussianConsumesLikeADraw)
+{
+    for (unsigned pattern = 0; pattern < 32; ++pattern) {
+        Rng drawn(31);
+        Rng discarded(31);
+        for (int i = 0; i < 5; ++i) {
+            const double reference = drawn.gaussian();
+            if ((pattern >> i) & 1u)
+                discarded.discardGaussian();
+            else
+                EXPECT_EQ(discarded.gaussian(), reference) << pattern;
+        }
+        EXPECT_EQ(discarded.gaussian(), drawn.gaussian()) << pattern;
+        EXPECT_EQ(discarded.next(), drawn.next()) << pattern;
+    }
+}
+
 TEST(Rng, ExponentialMean)
 {
     Rng rng(29);

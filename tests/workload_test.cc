@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
+#include "core/collector.h"
 #include "pmu/event.h"
+#include "pmu/schedule.h"
+#include "pmu/sim_sampler.h"
+#include "store/database.h"
 #include "stats/descriptive.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -303,6 +308,144 @@ TEST(Benchmark, DerivedEventsCorrelated)
         bmp.push_back(std::log(trace.count(catalog.idOfAbbrev("BMP"), t)));
     }
     EXPECT_GT(cminer::stats::pearson(brb, bmp), 0.35);
+}
+
+// --- Narrowed generation ----------------------------------------------
+
+/** Two rows hold the same doubles, bit for bit. */
+bool
+bitIdentical(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<EventId>
+programmableSlice(std::size_t first, std::size_t count)
+{
+    const auto all = EventCatalog::instance().programmableEvents();
+    return std::vector<EventId>(all.begin() + first,
+                                all.begin() + first + count);
+}
+
+/**
+ * Observed sets a collector hands generateTrace: fleet's 16-event MLPX
+ * list, one 4-counter OCOE run, and BMP alone (a derived event whose
+ * blend source BRB must be generated with it).
+ */
+std::vector<std::vector<EventId>>
+observedSets()
+{
+    return {programmableSlice(0, 16), programmableSlice(40, 4),
+            {EventCatalog::instance().idOfAbbrev("BMP")}};
+}
+
+// Generating only what a run observes must not change anything the run
+// reads: the length, every observed row, the IPC row, the fixed
+// counters, and the caller's rng afterwards all match the full trace.
+TEST(NarrowGeneration, MatchesFullTraceBitForBit)
+{
+    const auto &catalog = EventCatalog::instance();
+    const EventId fixed[] = {catalog.idOf("INST_RETIRED.ANY"),
+                             catalog.idOf("CPU_CLK_UNHALTED.THREAD"),
+                             catalog.idOf("CPU_CLK_UNHALTED.REF_TSC")};
+    for (const char *name : {"wordcount", "sort", "WebSearch", "DataCaching"}) {
+        const auto &bench = BenchmarkSuite::instance().byName(name);
+        for (const std::uint64_t seed : {1u, 7u, 42u}) {
+            // A random configuration exercises the config couplings.
+            Rng config_rng(seed + 1000);
+            const SparkConfig config = seed == 1
+                ? SparkConfig()
+                : SparkConfig::random(config_rng);
+            for (const auto &observed : observedSets()) {
+                SCOPED_TRACE(std::string(name) + " seed " +
+                             std::to_string(seed) + ", " +
+                             std::to_string(observed.size()) +
+                             " observed");
+                Rng full_rng(seed);
+                Rng narrow_rng(seed);
+                const TrueTrace full = bench.generateTrace(full_rng, config);
+                const TrueTrace narrow =
+                    bench.generateTrace(narrow_rng, config, observed);
+                ASSERT_EQ(narrow.intervalCount(), full.intervalCount());
+                for (const EventId id : observed)
+                    EXPECT_TRUE(bitIdentical(narrow.eventRow(id),
+                                             full.eventRow(id)))
+                        << catalog.info(id).abbrev;
+                EXPECT_TRUE(bitIdentical(narrow.ipcRow(), full.ipcRow()));
+                for (const EventId id : fixed)
+                    EXPECT_TRUE(bitIdentical(narrow.eventRow(id),
+                                             full.eventRow(id)))
+                        << catalog.info(id).abbrev;
+                EXPECT_EQ(narrow_rng.next(), full_rng.next());
+            }
+        }
+    }
+}
+
+TEST(NarrowGeneration, CarriesDerivedSourceAndDropsTheRest)
+{
+    const auto &catalog = EventCatalog::instance();
+    const auto &bench = BenchmarkSuite::instance().byName("sort");
+    const EventId bmp = catalog.idOfAbbrev("BMP");
+    Rng rng(3);
+    const TrueTrace trace =
+        bench.generateTrace(rng, SparkConfig(), {bmp});
+    EXPECT_TRUE(trace.carries(bmp));
+    EXPECT_TRUE(trace.carries(catalog.idOfAbbrev("BRB")));
+    std::size_t dropped = 0;
+    for (EventId id = 0; id < catalog.size(); ++id)
+        dropped += trace.carries(id) ? 0 : 1;
+    EXPECT_GT(dropped, catalog.size() / 2);
+}
+
+TEST(NarrowGeneration, ReadingAnUncarriedRowPanics)
+{
+    const auto &catalog = EventCatalog::instance();
+    const auto &bench = BenchmarkSuite::instance().byName("sort");
+    Rng rng(3);
+    const TrueTrace trace =
+        bench.generateTrace(rng, SparkConfig(), programmableSlice(0, 4));
+    EventId unobserved = 0;
+    while (trace.carries(unobserved))
+        ++unobserved;
+    ASSERT_LT(unobserved, catalog.size());
+    EXPECT_DEATH(trace.count(unobserved, 0), "assertion failed");
+    EXPECT_DEATH(trace.eventRow(unobserved), "assertion failed");
+}
+
+// The collector generates narrow traces; what it records must be what
+// the sampler measures on the full trace from an identically seeded rng.
+TEST(NarrowGeneration, CollectorMlpxMatchesSamplerOnFullTrace)
+{
+    const auto &catalog = EventCatalog::instance();
+    const auto events = programmableSlice(0, 16);
+    for (const char *name : {"sort", "WebSearch"}) {
+        SCOPED_TRACE(name);
+        const auto &bench = BenchmarkSuite::instance().byName(name);
+        cminer::store::Database db;
+        cminer::core::DataCollector collector(db, catalog);
+        Rng collect_rng(42);
+        const auto run = collector.collectMlpx(bench, events, collect_rng);
+
+        Rng reference_rng(42);
+        const TrueTrace full = bench.generateTrace(reference_rng);
+        const cminer::pmu::PmuConfig pmu;
+        cminer::pmu::SimSampler sampler(catalog, pmu);
+        const cminer::pmu::MlpxSchedule schedule(
+            events, pmu.programmableCounters);
+        const auto measured =
+            sampler.measureMlpx(full, schedule, reference_rng);
+        const auto ipc = sampler.measuredIpc(full, reference_rng);
+
+        ASSERT_EQ(run.series.size(), events.size() + 1);
+        for (std::size_t i = 0; i < events.size(); ++i)
+            EXPECT_TRUE(bitIdentical(run.series[i].values(),
+                                     measured.series[i].values()))
+                << catalog.info(events[i]).abbrev;
+        EXPECT_TRUE(bitIdentical(run.ipc().values(), ipc.values()));
+        EXPECT_EQ(collect_rng.next(), reference_rng.next());
+    }
 }
 
 // --- Config coupling ---------------------------------------------------
