@@ -174,6 +174,37 @@ TEST(Cli, MissingFlagValueFails)
     EXPECT_NE(output.find("expects a value"), std::string::npos);
 }
 
+// Count flags reject values that used to be cast to a huge std::size_t:
+// --events 0 aborted on an assertion, --events -5 measured every event
+// and --runs -1 looped without bound.
+TEST(Cli, CountFlagsRejectValuesBelowTheirMinimum)
+{
+    for (const auto &args :
+         {std::vector<std::string>{"collect", "sort", "--events", "0"},
+          std::vector<std::string>{"collect", "sort", "--events", "-5"},
+          std::vector<std::string>{"collect", "sort", "--runs", "-1"},
+          std::vector<std::string>{"profile", "sort", "--runs", "-1"},
+          std::vector<std::string>{"collect", "sort", "--events", "2.5"},
+          std::vector<std::string>{"collect", "sort", "--events", "nan"},
+          std::vector<std::string>{"serve", "--allow-empty", "--pipe",
+                                   "--queue-cap", "-1"},
+          std::vector<std::string>{"profile", "sort", "--threads", "0"}}) {
+        std::string output;
+        EXPECT_EQ(cli::run(args, output), 1) << args[2] << " " << args[3];
+        EXPECT_NE(output.find("error: --"), std::string::npos) << output;
+        EXPECT_NE(output.find("expects a count >= "), std::string::npos)
+            << output;
+    }
+}
+
+TEST(Cli, SeedOutsideInt64RangeFails)
+{
+    std::string output;
+    EXPECT_EQ(cli::run({"collect", "sort", "--seed", "1e30"}, output), 1);
+    EXPECT_NE(output.find("--seed expects a number"), std::string::npos)
+        << output;
+}
+
 TEST(Cli, UnknownBackendFailsListingChoices)
 {
     // Enum-valued flags reject unknown values up front with the valid
