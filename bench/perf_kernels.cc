@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "core/checkpoint.h"
 #include "mining/anomaly.h"
 #include "mining/distance.h"
+#include "pmu/event.h"
 #include "core/cleaner.h"
 #include "ml/gbrt.h"
 #include "ml/model_io.h"
@@ -451,17 +453,26 @@ BM_AndersonDarlingTriage(benchmark::State &state)
 }
 BENCHMARK(BM_AndersonDarlingTriage)->Range(256, 4096);
 
+// Arg 0 generates every catalog event (wide collection, `profile`);
+// Arg N only what a run observing the first N programmable events
+// reads (narrow collection: `fleet` observes 16).
 void
 BM_TraceGeneration(benchmark::State &state)
 {
     const auto &benchmark_obj =
         workload::BenchmarkSuite::instance().byName("wordcount");
+    auto observed = pmu::EventCatalog::instance().programmableEvents();
+    const auto width = static_cast<std::size_t>(state.range(0));
+    observed.resize(std::min(observed.size(), width));
     util::Rng rng(11);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(benchmark_obj.generateTrace(rng));
+        benchmark::DoNotOptimize(
+            width == 0 ? benchmark_obj.generateTrace(rng)
+                       : benchmark_obj.generateTrace(
+                             rng, workload::SparkConfig(), observed));
     }
 }
-BENCHMARK(BM_TraceGeneration);
+BENCHMARK(BM_TraceGeneration)->Arg(0)->Arg(16);
 
 // --- SIMD kernel layer: forced-scalar vs best-available twins -------------
 // Each pair runs the identical workload with the dispatch level forced
