@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 
 #include "core/advisor.h"
 #include "core/checkpoint.h"
@@ -17,8 +16,7 @@
 #include "core/perf_text.h"
 #include "core/report_export.h"
 #include "mining/anomaly.h"
-#include "mining/distance.h"
-#include "mining/kmedoids.h"
+#include "mining/families.h"
 #include "ml/metrics.h"
 #include "serve/server.h"
 #include "serve/socket.h"
@@ -42,146 +40,301 @@ namespace cminer::cli {
 
 namespace {
 
-/** Parsed flags: --name value and boolean --name. */
-struct Flags
+// ---- The flag table ---------------------------------------------------
+
+/** What a flag's value must be; checked before any command runs. */
+enum class Kind
 {
-    std::vector<std::string> positional;
-    std::map<std::string, std::string> named;
-
-    bool has(const std::string &name) const
-    {
-        return named.count(name) > 0;
-    }
-
-    std::string
-    get(const std::string &name, const std::string &fallback) const
-    {
-        auto it = named.find(name);
-        return it != named.end() ? it->second : fallback;
-    }
-
-    std::int64_t
-    getInt(const std::string &name, std::int64_t fallback) const
-    {
-        auto it = named.find(name);
-        if (it == named.end())
-            return fallback;
-        double value = 0.0;
-        // The range check keeps the cast defined (NaN fails it too).
-        if (!util::parseDouble(it->second, value) ||
-            !(value >= -9223372036854775808.0 &&
-              value < 9223372036854775808.0))
-            util::fatal("--" + name + " expects a number, got '" +
-                        it->second + "'");
-        return static_cast<std::int64_t>(value);
-    }
-
-    /**
-     * A count flag: a whole number >= @p min. Anything else (negative,
-     * fractional, out of range) fails with an error rather than being
-     * cast to a huge std::size_t.
-     */
-    std::size_t
-    getCount(const std::string &name, std::size_t fallback,
-             std::size_t min) const
-    {
-        auto it = named.find(name);
-        if (it == named.end())
-            return fallback;
-        double value = 0.0;
-        // 2^53: every whole double below it is exact.
-        if (!util::parseDouble(it->second, value) ||
-            value != std::floor(value) ||
-            value < static_cast<double>(min) || value > 9007199254740992.0)
-            util::fatal(util::format("--%s expects a count >= %zu, got '%s'",
-                                     name.c_str(), min,
-                                     it->second.c_str()));
-        return static_cast<std::size_t>(value);
-    }
-
-    double
-    getDouble(const std::string &name, double fallback) const
-    {
-        auto it = named.find(name);
-        if (it == named.end())
-            return fallback;
-        double value = 0.0;
-        if (!util::parseDouble(it->second, value))
-            util::fatal("--" + name + " expects a number, got '" +
-                        it->second + "'");
-        return value;
-    }
+    Bool,   ///< takes no value: present or absent
+    Text,   ///< any string, or what Flag::check accepts
+    Count,  ///< a whole number in [lo, hi]
+    Int,    ///< a number in the int64 range (truncated)
+    Double, ///< a finite number in [lo, hi]
+    Choice, ///< one of the '|'-separated names in Flag::value
 };
 
-/** Flags that take no value. */
-bool
-isBooleanFlag(const std::string &name)
+/** 2^53: every whole double up to it is exact. */
+constexpr double max_count = 9007199254740992.0;
+
+/** One flag a command takes. */
+struct Flag
 {
-    return name == "skip-cleaning" || name == "lenient" ||
-           name == "pipe" || name == "help" || name == "mine";
+    const char *name;
+    Kind kind = Kind::Text;
+    /** Value when the flag is absent; nullptr = none (reads as ""). */
+    const char *fallback = nullptr;
+    /** Usage placeholder of the value; the choices for Kind::Choice. */
+    const char *value = "";
+    double lo = 0.0;
+    double hi = max_count;
+    /** Extra validation of a Text value. */
+    util::Status (*check)(const std::string &) = nullptr;
+};
+
+/**
+ * Check `text` against the flag's kind and return its numeric value
+ * (0 for the other kinds). Fatal, naming the flag, when it does not fit.
+ */
+double
+flagValue(const Flag &flag, const std::string &text)
+{
+    const std::string name = std::string("--") + flag.name;
+    double value = 0.0;
+    const bool number = util::parseDouble(text, value);
+    switch (flag.kind) {
+      case Kind::Bool:
+        return 0.0;
+      case Kind::Text:
+        if (flag.check != nullptr) {
+            if (util::Status status = flag.check(text); !status.ok())
+                util::fatal(name + ": " + status.message());
+        }
+        return 0.0;
+      case Kind::Choice: {
+        const auto choices = util::split(flag.value, '|');
+        if (std::find(choices.begin(), choices.end(), text) ==
+            choices.end())
+            util::fatal(name + " got unknown value '" + text +
+                        "' (valid choices: " + util::join(choices, ", ") +
+                        ")");
+        return 0.0;
+      }
+      case Kind::Int:
+        // The range check keeps the cast defined (NaN fails it too).
+        if (!number || !(value >= -9223372036854775808.0 &&
+                         value < 9223372036854775808.0))
+            util::fatal(name + " expects a number, got '" + text + "'");
+        return value;
+      case Kind::Count:
+      case Kind::Double: {
+        const bool count = flag.kind == Kind::Count;
+        if (number && std::isfinite(value) && value >= flag.lo &&
+            value <= flag.hi && (!count || value == std::floor(value)))
+            return value;
+        util::fatal(name +
+                    (count ? " expects a count" : " expects a finite number") +
+                    (flag.hi == max_count
+                         ? util::format(" >= %g", flag.lo)
+                         : util::format(" in [%g, %g]", flag.lo, flag.hi)) +
+                    ", got '" + text + "'");
+      }
+    }
+    return 0.0;
 }
 
-Flags
-parseFlags(const std::vector<std::string> &args, std::size_t first)
+util::Status
+checkBackend(const std::string &text)
 {
-    Flags flags;
-    for (std::size_t i = first; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (util::startsWith(arg, "--")) {
-            const std::string name = arg.substr(2);
-            // --name=value binds tighter than the separate-token form
-            // and works for any flag, boolean or not.
-            const auto eq = name.find('=');
-            if (eq != std::string::npos) {
-                flags.named[name.substr(0, eq)] = name.substr(eq + 1);
-            } else if (isBooleanFlag(name)) {
-                flags.named[name] = "true";
-            } else {
-                if (i + 1 >= args.size())
-                    util::fatal("flag --" + name + " expects a value");
-                flags.named[name] = args[++i];
-            }
-        } else {
-            flags.positional.push_back(arg);
-        }
+    return pmu::parseBackendKind(text).status();
+}
+
+util::Status
+checkFaultSpec(const std::string &text)
+{
+    return util::parseFaultSpec(text).status();
+}
+
+/** `collect --watch`: one scorer spec, without a NAME= (nothing
+ * registers it under a name). */
+util::Status
+checkWatchSpec(const std::string &text)
+{
+    auto spec = mining::parseScorerSpec(text);
+    if (spec.ok() && !spec.value().name.empty())
+        return util::Status::dataError(
+            "takes MODEL.ckpt:CLUSTERS.ckpt (no NAME=)");
+    return spec.status();
+}
+
+/** `serve --scorer`: a comma-separated list of scorer specs. */
+util::Status
+checkScorerSpecs(const std::string &text)
+{
+    for (const auto &entry : util::split(text, ',')) {
+        if (auto spec = mining::parseScorerSpec(entry);
+            !entry.empty() && !spec.ok())
+            return spec.status();
     }
-    return flags;
+    return util::Status::okStatus();
+}
+
+const Flag backend_flag{"backend", Kind::Text, "sim", "sim|perf", 0, 0,
+                        checkBackend};
+const Flag mode_flag{"mode", Kind::Choice, "mlpx", "mlpx|ocoe"};
+const Flag db_flag{"db", Kind::Text, nullptr, "FILE"};
+const Flag inject_faults_flag{"inject-faults", Kind::Text, nullptr, "SPEC",
+                              0, 0, checkFaultSpec};
+const Flag min_events_flag{"min-events", Kind::Count, "96", "N", 1};
+
+/** Flags every command takes. */
+const std::vector<Flag> global_flags = {
+    {"threads", Kind::Count, nullptr, "N", 1},
+    {"trace-out", Kind::Text, nullptr, "FILE"},
+    {"metrics-out", Kind::Text, nullptr, "FILE"},
+    {"help", Kind::Bool},
+};
+
+class Args;
+
+/** One command: its synopsis, prose, flags, and body. */
+struct Command
+{
+    const char *name;
+    /** The synopsis operand ("<benchmark>"); "" takes none. */
+    const char *operand;
+    /** Usage prose, word-wrapped under the synopsis. */
+    const char *about;
+    std::vector<Flag> flags;
+    int (*body)(const Args &, std::string &);
+};
+
+const Flag *
+findFlag(const Command &command, const std::string &name)
+{
+    for (const auto *table : {&command.flags, &global_flags})
+        for (const auto &flag : *table)
+            if (name == flag.name)
+                return &flag;
+    return nullptr;
 }
 
 /**
- * A flag restricted to an enumerated value set: unknown values fail
- * with an error listing the valid choices instead of being passed
- * through (or silently matching nothing downstream).
+ * A command's validated arguments: every flag given was declared by
+ * the command (or is global) and its value fits the declared kind.
+ * Reads return the given value, else the table's fallback.
  */
-std::string
-getChoice(const Flags &flags, const std::string &name,
-          const std::string &fallback,
-          const std::vector<std::string> &choices)
+class Args
 {
-    const std::string value = flags.get(name, fallback);
-    for (const auto &choice : choices) {
-        if (value == choice)
-            return value;
+  public:
+    Args(const Command &command, const std::vector<std::string> &argv);
+
+    /** The command's operands (at most one). */
+    std::vector<std::string> positional;
+
+    bool has(const std::string &name) const
+    {
+        return given_.count(name) > 0;
     }
-    util::fatal("--" + name + " got unknown value '" + value +
-                "' (valid choices: " + util::join(choices, ", ") + ")");
+
+    std::string text(const std::string &name) const
+    {
+        if (auto it = given_.find(name); it != given_.end())
+            return it->second;
+        const char *fallback = flag(name).fallback;
+        return fallback != nullptr ? fallback : "";
+    }
+
+    double number(const std::string &name) const
+    {
+        return flagValue(flag(name), text(name));
+    }
+
+    std::size_t count(const std::string &name) const
+    {
+        return static_cast<std::size_t>(number(name));
+    }
+
+    std::uint64_t seed() const
+    {
+        return static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(number("seed")));
+    }
+
+    pmu::BackendKind backend() const
+    {
+        return pmu::parseBackendKind(text("backend")).value();
+    }
+
+    /** The operand; fatal "<command> expects <what>" without it. */
+    const std::string &operand(const std::string &what) const
+    {
+        if (positional.empty())
+            util::fatal(std::string(command_.name) + " expects " + what);
+        return positional.front();
+    }
+
+  private:
+    const Flag &flag(const std::string &name) const
+    {
+        const Flag *flag = findFlag(command_, name);
+        CM_ASSERT(flag != nullptr);
+        return *flag;
+    }
+
+    const Command &command_;
+    std::map<std::string, std::string> given_;
+};
+
+Args::Args(const Command &command, const std::vector<std::string> &argv)
+    : command_(command)
+{
+    for (std::size_t i = 1; i < argv.size(); ++i) {
+        if (!util::startsWith(argv[i], "--")) {
+            positional.push_back(argv[i]);
+            continue;
+        }
+        // --name=value binds tighter than the separate-token form.
+        std::string name = argv[i].substr(2);
+        std::optional<std::string> value;
+        if (const auto eq = name.find('='); eq != std::string::npos) {
+            value = name.substr(eq + 1);
+            name.resize(eq);
+        }
+        const Flag *flag = findFlag(command, name);
+        if (flag == nullptr)
+            util::fatal("unknown flag --" + name + " for " +
+                        command.name + " (see 'counterminer help')");
+        if (flag->kind == Kind::Bool) {
+            if (value)
+                util::fatal("--" + name + " takes no value");
+            value = "true";
+        } else if (!value) {
+            if (i + 1 >= argv.size())
+                util::fatal("flag --" + name + " expects a value");
+            value = argv[++i];
+        }
+        flagValue(*flag, *value);
+        given_[name] = *value;
+    }
+    const std::size_t operands = command.operand[0] != '\0' ? 1 : 0;
+    if (positional.size() > operands)
+        util::fatal(util::format("%s takes %zu operand%s, got '%s'",
+                                 command.name, operands,
+                                 operands == 1 ? "" : "s",
+                                 positional[operands].c_str()));
 }
 
-/** The --backend flag, parsed and validated (default sim). */
-pmu::BackendKind
-getBackendFlag(const Flags &flags)
-{
-    auto parsed = pmu::parseBackendKind(flags.get("backend", "sim"));
-    if (!parsed.ok())
-        util::fatal("--backend: " + parsed.status().message());
-    return parsed.value();
-}
+// ---- Shared command pieces --------------------------------------------
 
 /** Where profile runs drop metrics when no explicit path is given to
  * `--metrics-out`, and where `cminer stats` looks by default. */
 constexpr const char *default_metrics_file = "cminer-metrics.json";
 
-mining::AnomalyScorer loadScorerPair(const std::string &spec);
+/**
+ * Write an exported file. Atomic like every checkpoint: a failed write
+ * never clobbers the previous file at this path, and it fails the
+ * command.
+ */
+void
+writeExport(const std::string &path, const std::string &bytes)
+{
+    util::writeFileAtomic(path, bytes)
+        .withContext("write " + path)
+        .throwIfError();
+}
+
+/** `--db FILE`: save the command's runs. */
+void
+saveDatabase(const Args &args, const store::Database &db,
+             std::string &output)
+{
+    if (!args.has("db"))
+        return;
+    const std::string path = args.text("db");
+    db.save(path);
+    output += "saved " + std::to_string(db.runCount()) + " runs to " +
+              path + "\n";
+}
 
 /**
  * Installs the tracer/metrics registry for the duration of one CLI
@@ -193,9 +346,9 @@ mining::AnomalyScorer loadScorerPair(const std::string &spec);
 class ObservabilityScope
 {
   public:
-    explicit ObservabilityScope(const Flags &flags)
-        : tracePath_(flags.get("trace-out", "")),
-          metricsPath_(flags.get("metrics-out", ""))
+    explicit ObservabilityScope(const Args &args)
+        : tracePath_(args.text("trace-out")),
+          metricsPath_(args.text("metrics-out"))
     {
         if (!tracePath_.empty()) {
             tracer_.emplace(clock_);
@@ -221,26 +374,16 @@ class ObservabilityScope
     writeReports(std::string &output)
     {
         if (tracer_) {
-            writeFile(tracePath_, tracer_->toJson());
+            writeExport(tracePath_, tracer_->toJson() + "\n");
             output += "wrote trace to " + tracePath_ + "\n";
         }
         if (metrics_) {
-            writeFile(metricsPath_, metrics_->toJson());
+            writeExport(metricsPath_, metrics_->toJson() + "\n");
             output += "wrote metrics to " + metricsPath_ + "\n";
         }
     }
 
   private:
-    static void
-    writeFile(const std::string &path, const std::string &text)
-    {
-        // Atomic like every other exporter: a failed write never
-        // clobbers the previous report at this path.
-        util::writeFileAtomic(path, text + "\n")
-            .withContext("write " + path)
-            .throwIfError();
-    }
-
     util::SteadyClock clock_;
     std::optional<util::Tracer> tracer_;
     std::optional<util::MetricsRegistry> metrics_;
@@ -261,8 +404,41 @@ resolveBenchmark(const std::string &name)
     return suite.byName(name);
 }
 
+/** A rank/event/importance table of the first `limit` entries. */
+std::string
+renderRanking(const std::vector<ml::FeatureImportance> &ranking,
+              std::size_t limit)
+{
+    util::TablePrinter table({"rank", "event", "importance %"});
+    for (std::size_t i = 0; i < std::min(limit, ranking.size()); ++i) {
+        table.addRow({std::to_string(i + 1), ranking[i].feature,
+                      util::formatDouble(ranking[i].importance, 1)});
+    }
+    return table.render();
+}
+
+/**
+ * The pipeline `profile` and `mapm` share: resolve the benchmark,
+ * apply the collection and EIR flags both take, and profile into `db`.
+ */
+core::ProfileReport
+profileBenchmark(const Args &args, core::ProfileOptions options,
+                 store::Database &db)
+{
+    const auto &benchmark =
+        resolveBenchmark(args.operand("a benchmark name"));
+    options.backend = args.backend();
+    options.mlpxRuns = args.count("runs");
+    options.importance.minEvents = args.count("min-events");
+    core::CounterMiner miner(db, pmu::EventCatalog::instance(), options);
+    util::Rng rng(args.seed());
+    return miner.profile(benchmark, rng);
+}
+
+// ---- Commands ---------------------------------------------------------
+
 int
-cmdListBenchmarks(std::string &output)
+cmdListBenchmarks(const Args &, std::string &output)
 {
     const auto &suite = workload::BenchmarkSuite::instance();
     util::TablePrinter table({"benchmark", "suite", "top planted events"});
@@ -276,10 +452,10 @@ cmdListBenchmarks(std::string &output)
 }
 
 int
-cmdListEvents(const Flags &flags, std::string &output)
+cmdListEvents(const Args &args, std::string &output)
 {
     const auto &catalog = pmu::EventCatalog::instance();
-    const std::string category = flags.get("category", "");
+    const std::string category = args.text("category");
     util::TablePrinter table({"abbrev", "event", "category", "family"});
     std::size_t shown = 0;
     for (pmu::EventId id = 0; id < catalog.size(); ++id) {
@@ -303,36 +479,23 @@ cmdListEvents(const Flags &flags, std::string &output)
 }
 
 int
-cmdProfile(const Flags &flags, std::string &output)
+cmdProfile(const Args &args, std::string &output)
 {
-    if (flags.positional.empty())
-        util::fatal("profile expects a benchmark name");
-    const auto &benchmark = resolveBenchmark(flags.positional.front());
-
     core::ProfileOptions options;
-    options.backend = getBackendFlag(flags);
-    options.mlpxRuns = flags.getCount("runs", 2, 1);
-    options.importance.minEvents = flags.getCount("min-events", 96, 1);
-    options.skipCleaning = flags.has("skip-cleaning");
-    options.maxBadRuns = flags.getCount("max-bad-runs", 0, 0);
-    options.maxBadFraction = flags.getDouble("max-bad-fraction", 0.5);
-    if (options.maxBadFraction < 0.0 || options.maxBadFraction > 1.0)
-        util::fatal("--max-bad-fraction expects a value in [0, 1]");
-
+    options.skipCleaning = args.has("skip-cleaning");
+    options.maxBadRuns = args.count("max-bad-runs");
+    options.maxBadFraction = args.number("max-bad-fraction");
     // The injector outlives the miner; ProfileOptions holds a raw
     // pointer into this scope.
     std::optional<util::FaultInjector> injector;
-    if (flags.has("inject-faults")) {
-        auto spec = util::parseFaultSpec(flags.get("inject-faults", ""));
-        spec.status().throwIfError();
-        injector.emplace(spec.value());
+    if (args.has("inject-faults")) {
+        injector.emplace(
+            util::parseFaultSpec(args.text("inject-faults")).value());
         options.injector = &*injector;
     }
 
     store::Database db("haswell-e");
-    core::CounterMiner miner(db, pmu::EventCatalog::instance(), options);
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
-    const auto report = miner.profile(benchmark, rng);
+    const auto report = profileBenchmark(args, options, db);
 
     output += util::format(
         "profiled %s: MAPM with %zu events, error %.2f%%\n",
@@ -344,14 +507,7 @@ cmdProfile(const Flags &flags, std::string &output)
         ingest.injected.total() > 0)
         output += ingest.toString() + "\n";
 
-    util::TablePrinter events({"rank", "event", "importance %"});
-    for (std::size_t i = 0; i < report.topEvents.size(); ++i) {
-        events.addRow({std::to_string(i + 1),
-                       report.topEvents[i].feature,
-                       util::formatDouble(
-                           report.topEvents[i].importance, 1)});
-    }
-    output += events.render();
+    output += renderRanking(report.topEvents, report.topEvents.size());
 
     util::TablePrinter pairs({"rank", "pair", "intensity %"});
     const auto top_pairs = report.interactions.top(5);
@@ -370,47 +526,86 @@ cmdProfile(const Flags &flags, std::string &output)
                                rec.event.c_str(), rec.advice.c_str());
     }
 
-    if (flags.has("json")) {
-        const std::string path = flags.get("json", "");
-        std::ofstream out(path);
-        if (!out)
-            util::fatal("cannot write JSON report to " + path);
-        out << core::reportToJson(report);
+    if (args.has("json")) {
+        const std::string path = args.text("json");
+        writeExport(path, core::reportToJson(report));
         output += "wrote JSON report to " + path + "\n";
     }
-    if (flags.has("db")) {
-        const std::string path = flags.get("db", "");
-        db.save(path);
-        output += "saved " + std::to_string(db.runCount()) +
-                  " runs to " + path + "\n";
-    }
+    saveDatabase(args, db, output);
     return 0;
 }
 
-int
-cmdCollect(const Flags &flags, std::string &output)
+/**
+ * `collect --watch`: judge every collected run against a calibrated
+ * anomaly scorer and report verdicts inline — the surveillance loop of
+ * DESIGN.md §17 without a serve daemon.
+ */
+void
+watchRuns(const Args &args, const store::Database &db,
+          const std::string &mode, std::string &output)
 {
-    if (flags.positional.empty())
-        util::fatal("collect expects a benchmark name");
-    const auto &benchmark = resolveBenchmark(flags.positional.front());
+    const auto spec =
+        mining::parseScorerSpec(args.text("watch")).value();
+    auto loaded = mining::loadScorer(spec.modelPath, spec.clusterPath);
+    loaded.status().throwIfError();
+    const mining::AnomalyScorer &scorer = loaded.value();
+    const auto snap = db.snapshot();
+    std::size_t watched = 0;
+    std::size_t flagged = 0;
+    std::size_t unscorable = 0;
+    for (const auto &program : db.programs()) {
+        for (const auto id : snap.findRuns(program, mode)) {
+            auto scored =
+                scorer.scoreRun(snap, id, pmu::EventCatalog::instance());
+            if (!scored.ok()) {
+                ++unscorable;
+                continue;
+            }
+            const mining::ScoreResult &verdict = scored.value();
+            ++watched;
+            if (verdict.anomalous)
+                ++flagged;
+            output += util::format(
+                "run %llu %s: %s (residual z %.2f%s, signature "
+                "distance %.4f%s)\n",
+                static_cast<unsigned long long>(id), program.c_str(),
+                verdict.anomalous ? "ANOMALOUS" : "ok",
+                verdict.residualZ, verdict.residualFlag ? " *" : "",
+                verdict.signatureDistance,
+                verdict.signatureFlag ? " *" : "");
+        }
+    }
+    output += util::format(
+        "watch: flagged %zu of %zu runs against scorer '%s'\n", flagged,
+        watched, scorer.clusters().benchmark.c_str());
+    if (unscorable > 0)
+        output += util::format(
+            "watch: %zu runs were not scorable (event list does not "
+            "cover the model)\n",
+            unscorable);
+}
+
+int
+cmdCollect(const Args &args, std::string &output)
+{
+    const auto &benchmark =
+        resolveBenchmark(args.operand("a benchmark name"));
     const auto &catalog = pmu::EventCatalog::instance();
 
     pmu::PmuConfig config;
-    config.intervalMs =
-        flags.getDouble("interval-ms", config.intervalMs);
-    const pmu::BackendKind kind = getBackendFlag(flags);
-    const std::string mode =
-        getChoice(flags, "mode", "mlpx", {"mlpx", "ocoe"});
+    config.intervalMs = args.number("interval-ms");
+    const std::string mode = args.text("mode");
     auto events = catalog.programmableEvents();
-    const std::size_t event_count = flags.getCount("events", 16, 1);
+    const std::size_t event_count = args.count("events");
     if (events.size() > event_count)
         events.resize(event_count);
-    const std::size_t runs = flags.getCount("runs", 1, 1);
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
+    const std::size_t runs = args.count("runs");
+    util::Rng rng(args.seed());
 
     store::Database db("haswell-e");
     core::DataCollector collector(
-        db, catalog, core::makeSamplerBackend(kind, catalog, config));
+        db, catalog,
+        core::makeSamplerBackend(args.backend(), catalog, config));
     // The factory may have fallen back (perf probe failed); report the
     // backend that will actually measure, not the one requested.
     output += std::string("collection backend: ") +
@@ -443,91 +638,26 @@ cmdCollect(const Flags &flags, std::string &output)
         config.intervalMs,
         interval_total > 0.0 ? ipc_total / interval_total : 0.0);
 
-    // Watch mode: judge every collected run against a calibrated
-    // anomaly scorer and report verdicts inline — the surveillance
-    // loop of DESIGN.md §17 without a serve daemon.
-    if (flags.has("watch")) {
-        const mining::AnomalyScorer scorer =
-            loadScorerPair(flags.get("watch", ""));
-        const auto snap = db.snapshot();
-        std::size_t watched = 0;
-        std::size_t flagged = 0;
-        std::size_t unscorable = 0;
-        for (const auto &program : db.programs()) {
-            for (const auto id : snap.findRuns(program, mode)) {
-                auto scored =
-                    scorer.scoreRun(snap, id, catalog);
-                if (!scored.ok()) {
-                    ++unscorable;
-                    continue;
-                }
-                const mining::ScoreResult &verdict = scored.value();
-                ++watched;
-                if (verdict.anomalous)
-                    ++flagged;
-                output += util::format(
-                    "run %llu %s: %s (residual z %.2f%s, signature "
-                    "distance %.4f%s)\n",
-                    static_cast<unsigned long long>(id),
-                    program.c_str(),
-                    verdict.anomalous ? "ANOMALOUS" : "ok",
-                    verdict.residualZ,
-                    verdict.residualFlag ? " *" : "",
-                    verdict.signatureDistance,
-                    verdict.signatureFlag ? " *" : "");
-            }
-        }
-        output += util::format(
-            "watch: flagged %zu of %zu runs against scorer '%s'\n",
-            flagged, watched, scorer.clusters().benchmark.c_str());
-        if (unscorable > 0)
-            output += util::format(
-                "watch: %zu runs were not scorable (event list does "
-                "not cover the model)\n",
-                unscorable);
-    }
-
-    if (flags.has("db")) {
-        const std::string path = flags.get("db", "");
-        db.save(path);
-        output += "saved " + std::to_string(db.runCount()) +
-                  " runs to " + path + "\n";
-    }
+    if (args.has("watch"))
+        watchRuns(args, db, mode, output);
+    saveDatabase(args, db, output);
     return 0;
 }
 
 int
-cmdMapm(const Flags &flags, std::string &output)
+cmdMapm(const Args &args, std::string &output)
 {
-    if (flags.positional.empty())
-        util::fatal("mapm expects a benchmark name");
-    const auto &benchmark = resolveBenchmark(flags.positional.front());
-
-    core::ProfileOptions options;
-    options.backend = getBackendFlag(flags);
-    options.mlpxRuns = flags.getCount("runs", 2, 1);
-    options.importance.minEvents = flags.getCount("min-events", 96, 1);
-
     store::Database db("haswell-e");
-    core::CounterMiner miner(db, pmu::EventCatalog::instance(), options);
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 42)));
-    auto report = miner.profile(benchmark, rng);
+    auto report = profileBenchmark(args, {}, db);
 
     output += util::format(
         "mined %s: MAPM with %zu events, cv error %.2f%%\n",
         report.benchmark.c_str(), report.importance.mapmEventCount,
         report.importance.mapmErrorPercent);
-    util::TablePrinter events({"rank", "event", "importance %"});
-    for (std::size_t i = 0; i < report.topEvents.size(); ++i) {
-        events.addRow({std::to_string(i + 1),
-                       report.topEvents[i].feature,
-                       util::formatDouble(
-                           report.topEvents[i].importance, 1)});
-    }
-    output += events.render();
+    output += renderRanking(report.topEvents, report.topEvents.size());
 
-    if (flags.has("model-out")) {
-        const std::string path = flags.get("model-out", "");
+    if (args.has("model-out")) {
+        const std::string path = args.text("model-out");
         core::MapmArtifact artifact;
         artifact.benchmark = report.benchmark;
         artifact.microarch = db.microarch();
@@ -538,26 +668,20 @@ cmdMapm(const Flags &flags, std::string &output)
         core::saveMapmArtifact(artifact, path).throwIfError();
         output += "wrote model checkpoint to " + path + "\n";
     }
-    if (flags.has("db")) {
-        const std::string path = flags.get("db", "");
-        db.save(path);
-        output += "saved " + std::to_string(db.runCount()) +
-                  " runs to " + path + "\n";
-    }
+    saveDatabase(args, db, output);
     return 0;
 }
 
 int
-cmdPredict(const Flags &flags, std::string &output)
+cmdPredict(const Args &args, std::string &output)
 {
-    const std::string model_path = flags.get("model", "");
+    const std::string model_path = args.text("model");
     if (model_path.empty())
         util::fatal("predict requires --model FILE (a checkpoint "
                     "written by 'mapm --model-out')");
-    if (flags.positional.empty())
-        util::fatal("predict expects a database file (written by "
-                    "'mapm --db' or 'profile --db')");
-    const std::string db_path = flags.positional.front();
+    const std::string db_path =
+        args.operand("a database file (written by 'mapm --db' or "
+                     "'profile --db')");
 
     auto loaded = core::loadMapmArtifact(model_path);
     loaded.status().throwIfError();
@@ -571,8 +695,7 @@ cmdPredict(const Flags &flags, std::string &output)
     // target, the shape 'mapm --db' / 'profile --db' records for mlpx
     // runs. The first eligible run fixes the list; runs that measured
     // something else are skipped and reported.
-    const std::string mode =
-        getChoice(flags, "mode", "mlpx", {"mlpx", "ocoe"});
+    const std::string mode = args.text("mode");
     std::vector<store::RunId> ids;
     std::size_t skipped = 0;
     const std::vector<std::string> *events = nullptr;
@@ -626,8 +749,8 @@ cmdPredict(const Flags &flags, std::string &output)
             "skipped %zu runs with a different event list\n", skipped);
     output += util::format("MAPE vs measured IPC: %.2f%%\n", error);
 
-    if (flags.has("out")) {
-        const std::string path = flags.get("out", "");
+    if (args.has("out")) {
+        const std::string path = args.text("out");
         // Full shortest-round-trip precision so the file is a bitwise
         // witness of the predictions (the determinism tests diff it).
         std::string csv = "row,predicted_ipc,measured_ipc\n";
@@ -636,31 +759,24 @@ cmdPredict(const Flags &flags, std::string &output)
             csv += util::format("%zu,%.17g,%.17g\n", r, predictions[r],
                                 targets[r]);
         }
-        util::writeFileAtomic(path, csv)
-            .withContext("write " + path)
-            .throwIfError();
+        writeExport(path, csv);
         output += "wrote predictions to " + path + "\n";
     }
     return 0;
 }
 
 int
-cmdClean(const Flags &flags, std::string &output)
+cmdClean(const Args &args, std::string &output)
 {
-    if (flags.positional.empty())
-        util::fatal("clean expects a perf interval file");
-    const std::string path = flags.positional.front();
-    std::ifstream in(path);
-    if (!in)
-        util::fatal("cannot read " + path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
+    const std::string &path = args.operand("a perf interval file");
+    auto text = util::readFileBytes(path);
+    text.status().throwIfError();
 
     core::PerfParseOptions parse_options;
-    parse_options.lenient = flags.has("lenient");
+    parse_options.lenient = args.has("lenient");
     core::IngestReport ingest;
     auto parsed =
-        core::parsePerfIntervals(buffer.str(), parse_options, ingest);
+        core::parsePerfIntervals(text.value(), parse_options, ingest);
     if (!parsed.ok())
         parsed.status().withContext("clean " + path).throwIfError();
     auto series = std::move(parsed).value();
@@ -680,21 +796,17 @@ cmdClean(const Flags &flags, std::string &output)
         "missing values\n",
         series.size(), outliers, missing);
 
-    const std::string out_path = flags.get("out", path + ".cleaned");
-    std::ofstream out(out_path);
-    if (!out)
-        util::fatal("cannot write " + out_path);
-    out << core::renderPerfIntervals(series);
+    const std::string out_path =
+        args.has("out") ? args.text("out") : path + ".cleaned";
+    writeExport(out_path, core::renderPerfIntervals(series));
     output += "wrote " + out_path + "\n";
     return 0;
 }
 
 int
-cmdExplore(const Flags &flags, std::string &output)
+cmdExplore(const Args &args, std::string &output)
 {
-    if (flags.positional.empty())
-        util::fatal("explore expects a database file");
-    const auto db = store::Database::load(flags.positional.front());
+    const auto db = store::Database::load(args.operand("a database file"));
     output += util::format("database: %zu runs, microarch %s\n",
                            db.runCount(), db.microarch().c_str());
     util::TablePrinter table({"program", "suite", "runs", "mlpx",
@@ -712,17 +824,16 @@ cmdExplore(const Flags &flags, std::string &output)
 }
 
 int
-cmdError(const Flags &flags, std::string &output)
+cmdError(const Args &args, std::string &output)
 {
-    if (flags.positional.empty())
-        util::fatal("error expects a benchmark name");
-    const auto &benchmark = resolveBenchmark(flags.positional.front());
+    const auto &benchmark =
+        resolveBenchmark(args.operand("a benchmark name"));
     const auto &catalog = pmu::EventCatalog::instance();
 
     store::Database db;
     core::DataCollector collector(db, catalog);
     const core::DataCleaner cleaner;
-    util::Rng rng(static_cast<std::uint64_t>(flags.getInt("seed", 7)));
+    util::Rng rng(args.seed());
 
     const auto imc = catalog.idOf("ICACHE.MISSES");
     std::vector<pmu::EventId> events = {imc};
@@ -755,20 +866,17 @@ cmdError(const Flags &flags, std::string &output)
 }
 
 int
-cmdStats(const Flags &flags, std::string &output)
+cmdStats(const Args &args, std::string &output)
 {
-    const std::string path = flags.positional.empty()
+    const std::string path = args.positional.empty()
         ? default_metrics_file
-        : flags.positional.front();
-    std::ifstream in(path);
-    if (!in) {
+        : args.positional.front();
+    const auto text = util::readFileBytes(path);
+    if (!text.ok())
         util::fatal("cannot read " + path +
                     "; run a command with --metrics-out first "
                     "(e.g. profile sort --metrics-out " + path + ")");
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = util::parseMetricsJson(buffer.str());
+    auto parsed = util::parseMetricsJson(text.value());
     if (!parsed.ok())
         parsed.status().withContext("stats " + path).throwIfError();
     const util::MetricsSnapshot snapshot = std::move(parsed).value();
@@ -806,240 +914,97 @@ cmdStats(const Flags &flags, std::string &output)
     return 0;
 }
 
-/**
- * Load a `MODEL.ckpt:CLUSTERS.ckpt` pair into a ready anomaly scorer.
- * Fatal on a malformed spec or an uncalibrated cluster artifact.
- */
-mining::AnomalyScorer
-loadScorerPair(const std::string &spec)
-{
-    const auto colon = spec.find(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= spec.size())
-        util::fatal("scorer spec '" + spec +
-                    "' should be MODEL.ckpt:CLUSTERS.ckpt");
-    auto model = core::loadMapmArtifact(spec.substr(0, colon));
-    model.status().throwIfError();
-    auto clusters = mining::loadClusterArtifact(spec.substr(colon + 1));
-    clusters.status().throwIfError();
-    if (clusters.value().residualZThreshold <= 0.0)
-        util::fatal("cluster artifact " + spec.substr(colon + 1) +
-                    " is uncalibrated; rebuild it with "
-                    "'cluster --model MODEL.ckpt --artifact-out ...'");
-    return mining::AnomalyScorer(
-        std::make_shared<const core::MapmArtifact>(
-            std::move(model).value()),
-        std::move(clusters).value());
-}
-
 int
-cmdCluster(const Flags &flags, std::string &output)
+cmdCluster(const Args &args, std::string &output)
 {
-    const bool from_store = flags.has("store-dir");
-    if (flags.positional.empty() && !from_store)
-        util::fatal("cluster expects a database file (written by "
-                    "'mapm --db' or 'collect --db') or --store-dir DIR");
-
     std::optional<store::Database> db;
-    if (from_store) {
+    if (args.has("store-dir")) {
+        if (!args.positional.empty())
+            util::fatal("cluster takes <db.cmdb> or --store-dir DIR, "
+                        "not both");
         store::StoreOptions store_options;
-        store_options.directory = flags.get("store-dir", "");
+        store_options.directory = args.text("store-dir");
         db.emplace(store::Database::openStore(store_options));
     } else {
-        db.emplace(store::Database::load(flags.positional.front()));
+        db.emplace(store::Database::load(
+            args.operand("a database file (written by 'mapm --db' or "
+                         "'collect --db') or --store-dir DIR")));
     }
 
-    mining::SignatureOptions signature;
-    signature.event = flags.get("event", signature.event);
-    signature.length =
-        flags.getCount("signature-length", signature.length, 2);
-    signature.bandFraction =
-        flags.getDouble("band", signature.bandFraction);
-    if (signature.bandFraction < 0.0 || signature.bandFraction > 1.0)
-        util::fatal("--band expects a fraction in [0, 1]");
-
-    // The snapshot pins every span the signatures and the calibration
-    // read; the medoid indexing below is relative to `ids`, which is
-    // sorted so family numbering never depends on catalog iteration
-    // order.
-    const std::string mode =
-        getChoice(flags, "mode", "mlpx", {"mlpx", "ocoe"});
-    const auto snap = db->snapshot();
-    std::vector<store::RunId> ids;
-    std::size_t skipped = 0;
-    for (const auto &program : db->programs()) {
-        for (const auto id : snap.findRuns(program, mode)) {
-            const auto &events = snap.runInfo(id).events;
-            if (std::find(events.begin(), events.end(),
-                          signature.event) == events.end() ||
-                snap.length(id) == 0) {
-                ++skipped;
-                continue;
-            }
-            ids.push_back(id);
-        }
+    mining::ClusterOptions options;
+    options.mode = args.text("mode");
+    options.signature.event = args.text("event");
+    options.signature.length = args.count("signature-length");
+    options.signature.bandFraction = args.number("band");
+    options.kmedoids.k = args.count("k");
+    options.seed = args.seed();
+    options.mine = args.has("mine");
+    options.importance.minEvents = args.count("min-events");
+    if (args.has("model")) {
+        auto loaded = core::loadMapmArtifact(args.text("model"));
+        loaded.status().throwIfError();
+        options.model = std::make_shared<const core::MapmArtifact>(
+            std::move(loaded).value());
     }
-    std::sort(ids.begin(), ids.end());
-    if (ids.size() < 2)
-        util::fatal(util::format(
-            "cluster: %zu eligible '%s' runs with a '%s' series "
-            "(need at least 2)",
-            ids.size(), mode.c_str(), signature.event.c_str()));
+    auto clustered = mining::clusterStore(*db, options);
+    clustered.status().throwIfError();
+    const mining::ClusterResult &result = clustered.value();
+    const mining::ClusterArtifact &artifact = result.artifact;
 
-    util::Span span("cluster");
-    span.number("runs", static_cast<double>(ids.size()));
-    std::vector<std::vector<double>> signatures;
-    signatures.reserve(ids.size());
-    for (const auto id : ids)
-        signatures.push_back(mining::runSignature(snap, id, signature));
-    const std::vector<double> matrix =
-        mining::dtwDistanceMatrix(signatures, signature);
-
-    mining::KMedoidsOptions cluster_options;
-    cluster_options.k = flags.getCount("k", 2, 1);
-    const auto seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 42));
-    util::Rng rng(seed);
-    const mining::KMedoidsResult clusters =
-        mining::kMedoids(matrix, ids.size(), cluster_options, rng);
-
-    const std::size_t n = ids.size();
     output += util::format(
         "clustered %zu runs into %zu families (total cost %.4f, "
         "%zu swap iterations)\n",
-        n, clusters.medoids.size(), clusters.totalCost,
-        clusters.iterations);
-    if (skipped > 0)
-        output += util::format(
-            "skipped %zu runs without a '%s' series\n", skipped,
-            signature.event.c_str());
-
-    // Per-family membership, in slot order (slots follow ascending
-    // medoid index, so the table is stable across reruns).
-    std::vector<std::vector<std::size_t>> members(
-        clusters.medoids.size());
-    for (std::size_t i = 0; i < n; ++i)
-        members[clusters.assignment[i]].push_back(i);
+        result.runs.size(), result.families.size(),
+        result.pam.totalCost, result.pam.iterations);
+    if (result.skipped > 0)
+        output += util::format("skipped %zu runs without a '%s' series\n",
+                               result.skipped,
+                               options.signature.event.c_str());
 
     util::TablePrinter table({"family", "medoid run", "program",
                               "members", "mean dtw", "programs"});
-    for (std::size_t f = 0; f < clusters.medoids.size(); ++f) {
-        const std::size_t medoid = clusters.medoids[f];
-        double total = 0.0;
-        std::map<std::string, std::size_t> programs;
-        for (const std::size_t member : members[f]) {
-            total += matrix[member * n + medoid];
-            ++programs[snap.runInfo(ids[member]).program];
-        }
+    for (std::size_t f = 0; f < result.families.size(); ++f) {
+        const auto &family = result.families[f];
         std::vector<std::string> parts;
-        for (const auto &[program, count] : programs)
+        for (const auto &[program, count] : family.programs)
             parts.push_back(program + " x" + std::to_string(count));
         table.addRow(
             {std::to_string(f),
              std::to_string(static_cast<unsigned long long>(
-                 ids[medoid])),
-             snap.runInfo(ids[medoid]).program,
-             std::to_string(members[f].size()),
-             util::formatDouble(
-                 members[f].empty()
-                     ? 0.0
-                     : total / static_cast<double>(members[f].size()),
-                 4),
+                 artifact.families[f].medoidRun)),
+             artifact.families[f].program,
+             std::to_string(artifact.families[f].memberCount),
+             util::formatDouble(family.meanDistance, 4),
              util::join(parts, " ")});
     }
     output += table.render();
 
-    // --mine: rank events within each family. Runs that measured a
-    // different event list than the family medoid are skipped (the
-    // dataset build needs one homogeneous list with IPC last).
-    if (flags.has("mine")) {
-        core::ImportanceOptions mine_options;
-        mine_options.minEvents = flags.getCount("min-events", 96, 1);
-        const core::ImportanceRanker ranker(mine_options);
-        for (std::size_t f = 0; f < clusters.medoids.size(); ++f) {
-            const auto &medoid_events =
-                snap.runInfo(ids[clusters.medoids[f]]).events;
-            std::vector<store::RunId> family_ids;
-            for (const std::size_t member : members[f]) {
-                const auto &events =
-                    snap.runInfo(ids[member]).events;
-                if (events == medoid_events && events.size() >= 2 &&
-                    events.back() == core::ipc_series_name)
-                    family_ids.push_back(ids[member]);
-            }
-            if (family_ids.empty()) {
-                output += util::format(
-                    "family %zu: no minable runs (event lists do not "
-                    "end in %s)\n",
-                    f, core::ipc_series_name);
-                continue;
-            }
-            const auto data =
-                core::ImportanceRanker::buildDatasetFromStore(
-                    *db, family_ids, pmu::EventCatalog::instance());
-            // A per-family stream derived from (seed, family) keeps
-            // each family's mining reproducible regardless of how many
-            // families precede it.
-            util::Rng family_rng(seed * 0x100000001b3ULL +
-                                 static_cast<std::uint64_t>(f) + 1);
-            const auto mined = ranker.run(data, family_rng);
+    for (std::size_t f = 0; options.mine && f < result.families.size();
+         ++f) {
+        const auto &mined = result.families[f].mined;
+        if (!mined) {
             output += util::format(
-                "family %zu MAPM: %zu events, cv error %.2f%%\n", f,
-                mined.mapmEventCount, mined.mapmErrorPercent);
-            util::TablePrinter ranks({"rank", "event", "importance %"});
-            const std::size_t top =
-                std::min<std::size_t>(5, mined.ranking.size());
-            for (std::size_t i = 0; i < top; ++i) {
-                ranks.addRow({std::to_string(i + 1),
-                              mined.ranking[i].feature,
-                              util::formatDouble(
-                                  mined.ranking[i].importance, 1)});
-            }
-            output += ranks.render();
+                "family %zu: no minable runs (event lists do not end "
+                "in %s)\n",
+                f, core::ipc_series_name);
+            continue;
         }
+        output += util::format(
+            "family %zu MAPM: %zu events, cv error %.2f%%\n", f,
+            mined->mapmEventCount, mined->mapmErrorPercent);
+        output += renderRanking(mined->ranking, 5);
     }
 
-    if (!flags.has("artifact-out") && !flags.has("model"))
-        return 0;
-
-    mining::ClusterArtifact artifact;
-    artifact.microarch = db->microarch();
-    artifact.signature = signature;
-    // Scope the artifact to the one profiled program when the store
-    // holds exactly one; a mixed store gets an unscoped artifact.
-    const auto programs = db->programs();
-    if (programs.size() == 1)
-        artifact.benchmark = programs.front();
-    for (std::size_t f = 0; f < clusters.medoids.size(); ++f) {
-        mining::ClusterFamily family;
-        family.medoidRun =
-            static_cast<std::uint64_t>(ids[clusters.medoids[f]]);
-        family.program = snap.runInfo(ids[clusters.medoids[f]]).program;
-        family.memberCount = members[f].size();
-        family.signature = signatures[clusters.medoids[f]];
-        artifact.families.push_back(std::move(family));
-    }
-
-    if (flags.has("model")) {
-        auto loaded = core::loadMapmArtifact(flags.get("model", ""));
-        loaded.status().throwIfError();
-        auto model = std::make_shared<const core::MapmArtifact>(
-            std::move(loaded).value());
-        auto calibrated = mining::AnomalyScorer::calibrate(
-            model, std::move(artifact), snap, ids,
-            pmu::EventCatalog::instance());
-        calibrated.status().throwIfError();
-        artifact = calibrated.value().clusters();
+    if (options.model != nullptr)
         output += util::format(
             "calibrated thresholds from %zu runs: residual z > %.2f "
             "(mean %.4g, stddev %.4g), signature distance > %.4f\n",
-            ids.size(), artifact.residualZThreshold,
+            result.runs.size(), artifact.residualZThreshold,
             artifact.residualMean, artifact.residualStddev,
             artifact.signatureThreshold);
-    }
 
-    if (flags.has("artifact-out")) {
-        const std::string path = flags.get("artifact-out", "");
+    if (args.has("artifact-out")) {
+        const std::string path = args.text("artifact-out");
         mining::saveClusterArtifact(artifact, path).throwIfError();
         output += "wrote cluster artifact to " + path + "\n";
         if (artifact.residualZThreshold <= 0.0)
@@ -1055,25 +1020,25 @@ cmdCluster(const Flags &flags, std::string &output)
  * transport the tests and load generator drive.
  */
 serve::ServeLoopResult
-servePipe(serve::Server &server, const Flags &flags)
+servePipe(serve::Server &server, const Args &args)
 {
-    if (!flags.has("pipe") && !flags.has("in"))
+    if (!args.has("pipe") && !args.has("in"))
         util::fatal("serve expects --socket PATH, --pipe, or "
                     "--in FILE --out FILE");
     std::ifstream file_in;
     std::ofstream file_out;
-    if (flags.has("in")) {
-        file_in.open(flags.get("in", ""), std::ios::binary);
+    if (args.has("in")) {
+        file_in.open(args.text("in"), std::ios::binary);
         if (!file_in)
-            util::fatal("cannot read " + flags.get("in", ""));
+            util::fatal("cannot read " + args.text("in"));
     }
-    if (flags.has("out")) {
-        file_out.open(flags.get("out", ""), std::ios::binary);
+    if (args.has("out")) {
+        file_out.open(args.text("out"), std::ios::binary);
         if (!file_out)
-            util::fatal("cannot write " + flags.get("out", ""));
+            util::fatal("cannot write " + args.text("out"));
     }
-    std::istream &in = flags.has("in") ? file_in : std::cin;
-    std::ostream &out = flags.has("out")
+    std::istream &in = args.has("in") ? file_in : std::cin;
+    std::ostream &out = args.has("out")
                             ? static_cast<std::ostream &>(file_out)
                             : std::cout;
 
@@ -1089,10 +1054,9 @@ servePipe(serve::Server &server, const Flags &flags)
     std::optional<serve::FaultyFrameSource> faulty_source;
     std::optional<serve::FaultyStreamFrameSink> faulty_sink;
     util::SleepingClock sleeper;
-    if (flags.has("inject-faults")) {
-        auto spec = util::parseFaultSpec(flags.get("inject-faults", ""));
-        spec.status().throwIfError();
-        injector.emplace(spec.value());
+    if (args.has("inject-faults")) {
+        injector.emplace(
+            util::parseFaultSpec(args.text("inject-faults")).value());
         faulty_source.emplace(plain_source, *injector, &sleeper);
         faulty_sink.emplace(out, *injector, &sleeper);
         source = &*faulty_source;
@@ -1105,73 +1069,55 @@ servePipe(serve::Server &server, const Flags &flags)
 }
 
 int
-cmdServe(const Flags &flags, std::string &output)
+cmdServe(const Args &args, std::string &output)
 {
     serve::ServerOptions options;
-    options.queueCap = flags.getCount("queue-cap", 64, 1);
-    options.maxBatchRows = flags.getCount("batch-rows", 256, 1);
-    options.batchWindowMs = flags.getDouble("batch-window-ms", 0.5);
-    options.defaultDeadlineMs = flags.getDouble("deadline-ms", 0.0);
-    options.mineQueueCap = flags.getCount("mine-queue-cap", 1, 0);
-    options.storeDir = flags.get("store-dir", "");
-    options.storeMemoryBudgetBytes =
-        flags.getCount("memory-budget-mb", 64, 1) << 20;
-    options.backend = getBackendFlag(flags);
+    options.queueCap = args.count("queue-cap");
+    options.maxBatchRows = args.count("batch-rows");
+    options.batchWindowMs = args.number("batch-window-ms");
+    options.defaultDeadlineMs = args.number("deadline-ms");
+    options.mineQueueCap = args.count("mine-queue-cap");
+    options.storeDir = args.text("store-dir");
+    options.storeMemoryBudgetBytes = args.count("memory-budget-mb") << 20;
+    options.backend = args.backend();
 
     serve::Server server(options);
 
     // Checkpoints load once, up front; the request path never touches
     // disk. --model takes a comma-separated list of `path` or
-    // `name=path` entries.
-    for (const auto &entry :
-         util::split(flags.get("model", ""), ',')) {
-        if (entry.empty())
-            continue;
-        std::string name;
-        std::string path = entry;
-        const auto eq = entry.find('=');
-        if (eq != std::string::npos) {
-            name = entry.substr(0, eq);
-            path = entry.substr(eq + 1);
-        }
-        server.loadModel(name, path).throwIfError();
-    }
-    // Anomaly scorers load the same way: --scorer takes a comma-
-    // separated list of `MODEL:CLUSTERS` or `NAME=MODEL:CLUSTERS`
+    // `name=path` entries; --scorer one of `[NAME=]MODEL:CLUSTERS`
     // entries (checkpoints from 'mapm --model-out' and
     // 'cluster --model --artifact-out').
-    for (const auto &entry :
-         util::split(flags.get("scorer", ""), ',')) {
+    for (const auto &entry : util::split(args.text("model"), ',')) {
         if (entry.empty())
             continue;
-        std::string name;
-        std::string paths = entry;
         const auto eq = entry.find('=');
-        if (eq != std::string::npos && eq < entry.find(':')) {
-            name = entry.substr(0, eq);
-            paths = entry.substr(eq + 1);
-        }
-        const auto colon = paths.find(':');
-        if (colon == std::string::npos)
-            util::fatal("--scorer entries look like "
-                        "[NAME=]MODEL.ckpt:CLUSTERS.ckpt, got '" +
-                        entry + "'");
-        server
-            .loadScorer(name, paths.substr(0, colon),
-                        paths.substr(colon + 1))
+        if (eq == std::string::npos)
+            server.loadModel("", entry).throwIfError();
+        else
+            server.loadModel(entry.substr(0, eq), entry.substr(eq + 1))
+                .throwIfError();
+    }
+    for (const auto &entry : util::split(args.text("scorer"), ',')) {
+        if (entry.empty())
+            continue;
+        const auto spec = mining::parseScorerSpec(entry).value();
+        server.loadScorer(spec.name, spec.modelPath, spec.clusterPath)
             .throwIfError();
     }
 
     if (server.modelNames().empty() && server.scorerNames().empty() &&
-        !flags.has("allow-empty"))
+        !args.has("allow-empty"))
         util::fatal("serve requires --model FILE[,NAME=FILE...] (a "
                     "checkpoint written by 'mapm --model-out') or "
                     "--scorer; pass --allow-empty to start with "
                     "mining only");
 
-    if (flags.has("socket")) {
-        serve::SocketServer listener(server,
-                                     flags.get("socket", ""));
+    if (args.has("socket")) {
+        if (args.has("pipe") || args.has("in") || args.has("out"))
+            util::fatal("serve takes --socket PATH or a pipe "
+                        "(--pipe, --in, --out), not both");
+        serve::SocketServer listener(server, args.text("socket"));
         listener.listen().throwIfError();
         listener.serveForever().throwIfError();
         const auto counts = server.counters();
@@ -1183,7 +1129,7 @@ cmdServe(const Flags &flags, std::string &output)
             static_cast<unsigned long long>(counts.shed),
             static_cast<unsigned long long>(counts.deadlineMissed));
     } else {
-        const auto result = servePipe(server, flags);
+        const auto result = servePipe(server, args);
         const auto counts = server.counters();
         output += util::format(
             "served %zu frames: %llu ok, %llu shed, %llu "
@@ -1204,106 +1150,200 @@ cmdServe(const Flags &flags, std::string &output)
     return 0;
 }
 
+// ---- The command table ------------------------------------------------
+
+const std::vector<Command> &
+commands()
+{
+    using K = Kind;
+    static const std::vector<Command> table = {
+        {"list-benchmarks", "", "the 16 simulated programs", {},
+         cmdListBenchmarks},
+        {"list-events", "", "the 229-event catalog",
+         {{"category", K::Text, nullptr, "C"}}, cmdListEvents},
+        {"profile", "<benchmark>",
+         "the full pipeline: collect, clean, rank events (EIR/MAPM) and "
+         "their interactions, and advise",
+         {backend_flag, {"runs", K::Count, "2", "N", 1},
+          {"seed", K::Int, "42", "S"}, min_events_flag,
+          {"skip-cleaning", K::Bool}, {"json", K::Text, nullptr, "FILE"},
+          db_flag, inject_faults_flag,
+          {"max-bad-runs", K::Count, "0", "N", 0},
+          {"max-bad-fraction", K::Double, "0.5", "F", 0, 1}},
+         cmdProfile},
+        {"collect", "<benchmark>",
+         "record counter runs only (no mining); with --backend=perf the "
+         "runs are real perf_event_open measurements of a built-in "
+         "synthetic load; --watch scores each collected run against a "
+         "calibrated anomaly scorer and reports verdicts",
+         {backend_flag, mode_flag, {"runs", K::Count, "1", "N", 1},
+          {"events", K::Count, "16", "N", 1},
+          {"interval-ms", K::Double, "10", "D", 0, 1e9},
+          {"seed", K::Int, "42", "S"}, db_flag,
+          {"watch", K::Text, nullptr, "MODEL.ckpt:CLUSTERS.ckpt", 0, 0,
+           checkWatchSpec}},
+         cmdCollect},
+        {"mapm", "<benchmark>",
+         "mine the MAPM and write a model checkpoint for later serving",
+         {{"model-out", K::Text, nullptr, "FILE"}, db_flag,
+          {"runs", K::Count, "2", "N", 1}, {"seed", K::Int, "42", "S"},
+          min_events_flag, backend_flag},
+         cmdMapm},
+        {"predict", "<db.cmdb>",
+         "score a database with a checkpointed MAPM (--model is "
+         "required), without retraining",
+         {{"model", K::Text, nullptr, "FILE"},
+          {"out", K::Text, nullptr, "FILE"}, mode_flag},
+         cmdPredict},
+        {"clean", "<perf.csv>",
+         "clean a perf interval log (default --out: <perf.csv>.cleaned)",
+         {{"out", K::Text, nullptr, "FILE"}, {"lenient", K::Bool}},
+         cmdClean},
+        {"explore", "<db.cmdb>", "summarize a database", {}, cmdExplore},
+        {"error", "<benchmark>", "quick MLPX-error check",
+         {{"seed", K::Int, "7", "S"}}, cmdError},
+        {"stats", "[metrics.json]",
+         "pretty-print an exported metrics file (default: "
+         "cminer-metrics.json)",
+         {}, cmdStats},
+        {"cluster", "<db.cmdb>",
+         "group a store's runs (<db.cmdb> or --store-dir DIR) into "
+         "workload families by DTW distance between counter signatures "
+         "(k-medoids/PAM, bit-identical for any --threads); --mine ranks "
+         "events per family, --model also calibrates anomaly thresholds, "
+         "and --artifact-out writes the cluster-artifact checkpoint that "
+         "'serve --scorer' and 'collect --watch' load",
+         {{"store-dir", K::Text, nullptr, "DIR"},
+          {"k", K::Count, "2", "N", 1}, {"seed", K::Int, "42", "S"},
+          mode_flag, {"event", K::Text, "IPC", "E"},
+          {"signature-length", K::Count, "128", "N", 2},
+          {"band", K::Double, "0.1", "F", 0, 1}, {"mine", K::Bool},
+          min_events_flag, {"artifact-out", K::Text, nullptr, "FILE"},
+          {"model", K::Text, nullptr, "MAPM.ckpt"}},
+         cmdCluster},
+        {"serve", "",
+         "deadline-aware serving daemon over --socket PATH, --pipe, or "
+         "--in FILE --out FILE, with --model or --scorer checkpoints "
+         "(--allow-empty starts with mining only): batches concurrent "
+         "predicts, sheds with CapacityError when the admission queue is "
+         "full, drains cleanly on a shutdown frame. --store-dir mines "
+         "into a persistent out-of-core segment store whose resident "
+         "memory follows --memory-budget-mb (default 64) instead of the "
+         "accumulated runs",
+         {{"model", K::Text, nullptr, "FILE[,NAME=FILE...]"},
+          {"scorer", K::Text, nullptr,
+           "[NAME=]MODEL.ckpt:CLUSTERS.ckpt[,...]", 0, 0,
+           checkScorerSpecs},
+          {"socket", K::Text, nullptr, "PATH"}, {"pipe", K::Bool},
+          {"in", K::Text, nullptr, "FILE"},
+          {"out", K::Text, nullptr, "FILE"},
+          {"queue-cap", K::Count, "64", "N", 1},
+          {"batch-rows", K::Count, "256", "N", 1},
+          {"deadline-ms", K::Double, "0", "D", 0, 1e9},
+          {"batch-window-ms", K::Double, "0.5", "D", 0,
+           serve::max_batch_window_ms},
+          {"mine-queue-cap", K::Count, "1", "N", 0},
+          {"store-dir", K::Text, nullptr, "DIR"},
+          // Shifted to bytes: the cap keeps the budget below 2^64.
+          {"memory-budget-mb", K::Count, "64", "N", 1, 1e9},
+          backend_flag, inject_faults_flag, {"allow-empty", K::Bool}},
+         cmdServe},
+    };
+    return table;
+}
+
+/**
+ * `line` followed by `words`, wrapped at 72 columns; continuation
+ * lines start with `indent`.
+ */
+std::string
+wrapWords(std::string line, const std::vector<std::string> &words,
+          const std::string &indent)
+{
+    std::string out;
+    bool fresh = true;
+    for (const auto &word : words) {
+        if (!fresh && line.size() + 1 + word.size() > 72) {
+            out += line + "\n";
+            line = indent;
+        }
+        if (!line.empty() && line.back() != ' ')
+            line += ' ';
+        line += word;
+        fresh = false;
+    }
+    return out + line + "\n";
+}
+
+/** The `[--name VALUE]` synopsis words of a flag table. */
+std::vector<std::string>
+synopsis(const std::vector<Flag> &flags)
+{
+    std::vector<std::string> words;
+    for (const auto &flag : flags)
+        words.push_back(std::string("[--") + flag.name +
+                        (flag.kind == Kind::Bool ? "" : " ") +
+                        flag.value + "]");
+    return words;
+}
+
 } // namespace
 
 std::string
 usage()
 {
-    return "usage: counterminer <command> [options]\n"
-           "\n"
-           "commands:\n"
-           "  list-benchmarks                 the 16 simulated programs\n"
-           "  list-events [--category C]      the 229-event catalog\n"
-           "  profile <benchmark> [--runs N] [--seed S] [--min-events N]\n"
-           "          [--skip-cleaning] [--json FILE] [--db FILE]\n"
-           "          [--inject-faults SPEC] [--max-bad-runs N]\n"
-           "          [--max-bad-fraction F] [--backend B]\n"
-           "  collect <benchmark> [--backend B] [--mode mlpx|ocoe]\n"
-           "          [--runs N] [--events N] [--interval-ms D]\n"
-           "          [--seed S] [--db FILE]\n"
-           "          [--watch MODEL.ckpt:CLUSTERS.ckpt]\n"
-           "                                  record counter runs only\n"
-           "                (no mining); with --backend=perf the runs\n"
-           "                are real perf_event_open measurements of a\n"
-           "                built-in synthetic load; --watch scores\n"
-           "                each collected run against a calibrated\n"
-           "                anomaly scorer and reports verdicts\n"
-           "  mapm <benchmark> [--model-out FILE] [--db FILE]\n"
-           "       [--runs N] [--seed S] [--min-events N]\n"
-           "                                  mine the MAPM and write a\n"
-           "                model checkpoint for later serving\n"
-           "  predict <db.cmdb> --model FILE [--out FILE] [--mode M]\n"
-           "                                  score a database with a\n"
-           "                checkpointed MAPM, without retraining\n"
-           "  clean <perf.csv> [--out FILE] [--lenient]\n"
-           "                                  clean a perf interval log\n"
-           "  explore <db.cmdb>               summarize a database\n"
-           "  error <benchmark> [--seed S]    quick MLPX-error check\n"
-           "  stats [metrics.json]            pretty-print an exported\n"
-           "                metrics file (default: cminer-metrics.json)\n"
-           "  cluster (<db.cmdb> | --store-dir DIR) [--k N] [--seed S]\n"
-           "          [--mode mlpx|ocoe] [--event E]\n"
-           "          [--signature-length N] [--band F] [--mine]\n"
-           "          [--min-events N] [--artifact-out FILE]\n"
-           "          [--model MAPM.ckpt]\n"
-           "                                  group a store's runs into\n"
-           "                workload families by DTW distance between\n"
-           "                counter signatures (k-medoids/PAM,\n"
-           "                bit-identical for any --threads); --mine\n"
-           "                ranks events per family, --model also\n"
-           "                calibrates anomaly thresholds, and\n"
-           "                --artifact-out writes the cluster-artifact\n"
-           "                checkpoint that 'serve --scorer' and\n"
-           "                'collect --watch' load\n"
-           "  serve --model FILE[,NAME=FILE...]\n"
-           "        [--scorer [NAME=]MODEL.ckpt:CLUSTERS.ckpt[,...]]\n"
-           "        (--socket PATH | --pipe | --in FILE --out FILE)\n"
-           "        [--queue-cap N] [--batch-rows N] [--deadline-ms D]\n"
-           "        [--batch-window-ms D] [--mine-queue-cap N]\n"
-           "        [--store-dir DIR] [--memory-budget-mb N]\n"
-           "        [--inject-faults SPEC]\n"
-           "                                  deadline-aware serving\n"
-           "                daemon: batches concurrent predicts, sheds\n"
-           "                with CapacityError when the admission queue\n"
-           "                is full, drains cleanly on a shutdown frame.\n"
-           "                --store-dir mines into a persistent\n"
-           "                out-of-core segment store whose resident\n"
-           "                memory follows --memory-budget-mb (default\n"
-           "                64) instead of the accumulated runs\n"
-           "\n"
-           "global options:\n"
-           "  --backend B   how counters are measured: 'sim' (default,\n"
-           "                the paper's simulated PMU, deterministic\n"
-           "                per seed) or 'perf' (real perf_event_open\n"
-           "                on Linux; probed at startup and falling\n"
-           "                back to sim with a logged reason when\n"
-           "                hardware counters are unavailable)\n"
-           "  --threads N   worker threads for the mining pipeline\n"
-           "                (default: CMINER_THREADS env var, else all\n"
-           "                hardware threads; 1 = fully serial; results\n"
-           "                are bit-identical for any value)\n"
-           "\n"
-           "observability:\n"
-           "  --trace-out FILE    write a JSON tree of timed pipeline\n"
-           "                phase spans (collect/clean/dataset/eir/...)\n"
-           "  --metrics-out FILE  write pipeline counters, gauges and\n"
-           "                duration histograms as JSON; inspect with\n"
-           "                'counterminer stats FILE'\n"
-           "                Both are off by default and cost nothing\n"
-           "                when absent.\n"
-           "\n"
-           "fault tolerance:\n"
-           "  --inject-faults SPEC  deterministic damage for hardening\n"
-           "                runs, e.g. corrupt=0.02,drop=0.02,nan=0.01,\n"
-           "                transient=0.05,seed=7 (rates in [0,1];\n"
-           "                keys: corrupt drop dup nan transient seed)\n"
-           "  --max-bad-runs N      quarantine up to N failed runs\n"
-           "                before aborting (default 0: first failure\n"
-           "                is fatal)\n"
-           "  --max-bad-fraction F  abort when more than this fraction\n"
-           "                of runs was quarantined (default 0.5)\n"
-           "  --lenient     (clean) skip-and-count damaged lines\n"
-           "                instead of rejecting the file\n";
+    const std::string prose(16, ' ');
+    const auto note = [&](const std::string &lead, const char *text) {
+        return wrapWords(lead, util::split(text, ' '), prose);
+    };
+    const auto option = [&](const std::string &flag, const char *text) {
+        return "  " + flag + "\n" + note(prose, text);
+    };
+    std::string text = "usage: counterminer <command> [options]\n\n"
+                       "commands:\n";
+    for (const auto &command : commands()) {
+        const std::string head = std::string("  ") + command.name;
+        auto words = synopsis(command.flags);
+        if (command.operand[0] != '\0')
+            words.insert(words.begin(), command.operand);
+        text += wrapWords(head, words, std::string(head.size() + 1, ' '));
+        text += note(prose, command.about);
+    }
+    text += "\nevery command also takes (a command rejects any other "
+            "flag):\n";
+    text += wrapWords("  ", synopsis(global_flags), "  ");
+    return text + "\noptions:\n" +
+           option("--backend B",
+                "how counters are measured: 'sim' (default, the paper's "
+                "simulated PMU, deterministic per seed) or 'perf' (real "
+                "perf_event_open on Linux; probed at startup and falling "
+                "back to sim with a logged reason when hardware counters "
+                "are unavailable)") +
+           option("--threads N",
+                "worker threads for the mining pipeline (default: "
+                "CMINER_THREADS env var, else all hardware threads; 1 = "
+                "fully serial; results are bit-identical for any value)") +
+           option("--trace-out FILE",
+                "write a JSON tree of timed pipeline phase spans "
+                "(collect/clean/dataset/eir/...)") +
+           option("--metrics-out FILE",
+                "write pipeline counters, gauges and duration histograms "
+                "as JSON; inspect with 'counterminer stats FILE'. Both "
+                "are off by default and cost nothing when absent.") +
+           option("--inject-faults SPEC",
+                "deterministic damage for hardening runs, e.g. "
+                "corrupt=0.02,drop=0.02,nan=0.01,transient=0.05,seed=7 "
+                "(rates in [0,1]; keys: corrupt drop dup nan transient "
+                "seed)") +
+           option("--max-bad-runs N",
+                "quarantine up to N failed runs before aborting (default "
+                "0: first failure is fatal)") +
+           option("--max-bad-fraction F",
+                "abort when more than this fraction of runs was "
+                "quarantined (default 0.5)") +
+           option("--lenient",
+                "(clean) skip-and-count damaged lines instead of "
+                "rejecting the file");
 }
 
 int
@@ -1314,45 +1354,27 @@ run(const std::vector<std::string> &args, std::string &output)
         output += usage();
         return args.empty() ? 1 : 0;
     }
-    const std::string &command = args.front();
-    try {
-        const Flags flags = parseFlags(args, 1);
-        if (flags.has("threads")) {
-            util::Parallelism::setThreadCount(
-                flags.getCount("threads", 0, 1));
-        }
-        ObservabilityScope observability(flags);
-        const auto finish = [&](int code) {
-            if (code == 0)
-                observability.writeReports(output);
-            return code;
-        };
-        if (command == "list-benchmarks")
-            return finish(cmdListBenchmarks(output));
-        if (command == "list-events")
-            return finish(cmdListEvents(flags, output));
-        if (command == "profile")
-            return finish(cmdProfile(flags, output));
-        if (command == "collect")
-            return finish(cmdCollect(flags, output));
-        if (command == "mapm")
-            return finish(cmdMapm(flags, output));
-        if (command == "predict")
-            return finish(cmdPredict(flags, output));
-        if (command == "clean")
-            return finish(cmdClean(flags, output));
-        if (command == "explore")
-            return finish(cmdExplore(flags, output));
-        if (command == "error")
-            return finish(cmdError(flags, output));
-        if (command == "stats")
-            return finish(cmdStats(flags, output));
-        if (command == "cluster")
-            return finish(cmdCluster(flags, output));
-        if (command == "serve")
-            return finish(cmdServe(flags, output));
-        output += "unknown command '" + command + "'\n" + usage();
+    const Command *command = nullptr;
+    for (const auto &candidate : commands())
+        if (args.front() == candidate.name)
+            command = &candidate;
+    if (command == nullptr) {
+        output += "unknown command '" + args.front() + "'\n" + usage();
         return 1;
+    }
+    try {
+        const Args parsed(*command, args);
+        if (parsed.has("help")) {
+            output += usage();
+            return 0;
+        }
+        if (parsed.has("threads"))
+            util::Parallelism::setThreadCount(parsed.count("threads"));
+        ObservabilityScope observability(parsed);
+        const int code = command->body(parsed, output);
+        if (code == 0)
+            observability.writeReports(output);
+        return code;
     } catch (const util::FatalError &e) {
         output += std::string("error: ") + e.what() + "\n";
         return 1;

@@ -4,19 +4,9 @@
  * point: parse arguments, run the requested workflow, and accumulate
  * human-readable output into a string.
  *
- * Commands:
- *   list-benchmarks                      the sixteen simulated programs
- *   list-events [--category <c>]        the 229-event catalog
- *   profile <benchmark> [options]       the full pipeline
- *       --runs N          MLPX runs to pool (default 2)
- *       --seed S          RNG seed (default 42)
- *       --min-events N    EIR stop point (default 96)
- *       --skip-cleaning   ablation: feed raw MLPX data to the ranker
- *       --json FILE       also write the report as JSON
- *       --db FILE         also save the recorded runs
- *   clean <perf.csv> [--out FILE]        clean a perf-stat interval log
- *   explore <db.cmdb>                    summarize a recorded database
- *   error <benchmark> [--seed S]         quick Fig.-1-style error check
+ * The commands and the flags each one takes live in one table in
+ * cli.cc; usage() renders it. A command rejects any flag it does not
+ * declare, and every flag value is checked before the command runs.
  */
 
 #ifndef CMINER_CLI_CLI_H

@@ -380,11 +380,9 @@ AnomalyScorer::calibrate(
     if (Status valid = validateArtifact(clusters); !valid.ok())
         return valid.withContext("calibrate");
 
-    std::vector<std::vector<double>> medoids;
-    medoids.reserve(clusters.families.size());
-    for (const auto &family : clusters.families)
-        medoids.push_back(family.signature);
-
+    // Score the training runs against the uncalibrated families; only
+    // the raw residual and the nearest-medoid distance are read.
+    const AnomalyScorer probe(model, clusters);
     std::vector<double> residuals;
     residuals.reserve(ids.size());
     double max_distance = 0.0;
@@ -396,20 +394,10 @@ AnomalyScorer::calibrate(
                                                measured);
             !gathered.ok())
             return gathered.withContext("calibrate");
-        std::vector<std::vector<double>> owned = columns;
-        const ml::Dataset data = ml::Dataset::fromColumns(
-            model->events, std::move(owned),
-            std::vector<double>(measured.size(), 0.0));
-        const std::vector<double> predictions =
-            model->model.predictAll(data);
-        residuals.push_back(runResidual(predictions, measured));
-        if (!medoids.empty()) {
-            const std::vector<double> signature =
-                makeSignature(measured, clusters.signature);
-            const NearestMedoid nearest =
-                nearestMedoid(signature, medoids, clusters.signature);
-            max_distance = std::max(max_distance, nearest.distance);
-        }
+        const ScoreResult scored =
+            probe.scoreColumns(columns, measured).value();
+        residuals.push_back(scored.meanResidual);
+        max_distance = std::max(max_distance, scored.signatureDistance);
     }
 
     clusters.residualMean = stats::mean(residuals);
@@ -425,10 +413,52 @@ AnomalyScorer::calibrate(
     clusters.residualZThreshold =
         std::max(options.zThresholdFloor, options.zMargin * max_z);
     clusters.signatureThreshold =
-        medoids.empty()
+        clusters.families.empty()
             ? 0.0
             : std::max(options.signatureMargin * max_distance, 1e-9);
     return AnomalyScorer(std::move(model), std::move(clusters));
+}
+
+StatusOr<ScorerSpec>
+parseScorerSpec(const std::string &spec)
+{
+    ScorerSpec parsed;
+    std::string paths = spec;
+    const auto eq = spec.find('=');
+    if (eq != std::string::npos && eq < spec.find(':')) {
+        parsed.name = spec.substr(0, eq);
+        paths = spec.substr(eq + 1);
+    }
+    const auto colon = paths.find(':');
+    if (colon == std::string::npos || colon == 0 ||
+        colon + 1 >= paths.size())
+        return Status::dataError("scorer spec '" + spec +
+                                 "' should be "
+                                 "[NAME=]MODEL.ckpt:CLUSTERS.ckpt");
+    parsed.modelPath = paths.substr(0, colon);
+    parsed.clusterPath = paths.substr(colon + 1);
+    return parsed;
+}
+
+StatusOr<AnomalyScorer>
+loadScorer(const std::string &model_path, const std::string &cluster_path)
+{
+    auto model = core::loadMapmArtifact(model_path);
+    if (!model.ok())
+        return model.status().withContext("load scorer model " +
+                                          model_path);
+    auto clusters = loadClusterArtifact(cluster_path);
+    if (!clusters.ok())
+        return clusters.status().withContext("load scorer clusters " +
+                                             cluster_path);
+    if (clusters.value().residualZThreshold <= 0.0)
+        return Status::dataError(
+                   "cluster artifact is uncalibrated; rebuild it with "
+                   "'cluster --model MODEL.ckpt --artifact-out ...'")
+            .withContext("load scorer " + cluster_path);
+    return AnomalyScorer(std::make_shared<const core::MapmArtifact>(
+                             std::move(model).value()),
+                         std::move(clusters).value());
 }
 
 } // namespace cminer::mining

@@ -204,6 +204,28 @@ class AnomalyScorer
     ClusterArtifact clusters_;
 };
 
+/** A parsed `[NAME=]MODEL.ckpt:CLUSTERS.ckpt` scorer spec. */
+struct ScorerSpec
+{
+    /** Registration name; empty when the spec gave none. */
+    std::string name;
+    /** MAPM checkpoint ('mapm --model-out'). */
+    std::string modelPath;
+    /** Cluster artifact ('cluster --model --artifact-out'). */
+    std::string clusterPath;
+};
+
+/** Parse one scorer spec; both paths must be non-empty. */
+cminer::util::StatusOr<ScorerSpec> parseScorerSpec(const std::string &spec);
+
+/**
+ * Load a MAPM checkpoint and a cluster artifact into a ready scorer.
+ * An uncalibrated artifact is refused: scoring against unlearned
+ * thresholds would flag everything or nothing.
+ */
+cminer::util::StatusOr<AnomalyScorer>
+loadScorer(const std::string &model_path, const std::string &cluster_path);
+
 } // namespace cminer::mining
 
 #endif // CMINER_MINING_ANOMALY_H

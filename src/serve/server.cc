@@ -86,7 +86,7 @@ Server::makeDeadline(double request_deadline_ms)
     const double budget = request_deadline_ms > 0.0
                               ? request_deadline_ms
                               : options_.defaultDeadlineMs;
-    if (budget <= 0.0)
+    if (!(budget > 0.0))
         return Deadline::unlimited();
     return Deadline::after(clock(), budget);
 }
@@ -131,31 +131,17 @@ Server::loadScorer(const std::string &name,
                    const std::string &model_path,
                    const std::string &cluster_path)
 {
-    auto loaded_model = core::loadMapmArtifact(model_path);
-    if (!loaded_model.ok())
-        return loaded_model.status().withContext(
-            "serve: load scorer model " + model_path);
-    auto loaded_clusters = mining::loadClusterArtifact(cluster_path);
-    if (!loaded_clusters.ok())
-        return loaded_clusters.status().withContext(
-            "serve: load scorer clusters " + cluster_path);
-    auto clusters = std::move(loaded_clusters).value();
-    if (clusters.residualZThreshold <= 0.0)
-        return util::Status::dataError(
-                   "cluster artifact is uncalibrated (run cminer "
-                   "cluster with --model to learn thresholds)")
-            .withContext("serve: load scorer " + cluster_path);
+    auto loaded = mining::loadScorer(model_path, cluster_path);
+    if (!loaded.ok())
+        return loaded.status().withContext("serve");
     const std::string key =
-        name.empty() ? clusters.benchmark : name;
+        name.empty() ? loaded.value().clusters().benchmark : name;
     if (key.empty())
         return util::Status::dataError(
             "scorer has no name: the cluster artifact is store-wide "
             "and no explicit name was given");
-    auto model = std::make_shared<const core::MapmArtifact>(
-        std::move(loaded_model).value());
-    registerScorer(key,
-                   std::make_shared<const mining::AnomalyScorer>(
-                       std::move(model), std::move(clusters)));
+    registerScorer(key, std::make_shared<const mining::AnomalyScorer>(
+                            std::move(loaded).value()));
     return util::Status::okStatus();
 }
 
@@ -891,7 +877,8 @@ Server::batcherLoop()
             batchWake_.wait_for(
                 lock,
                 std::chrono::duration<double, std::milli>(
-                    options_.batchWindowMs),
+                    std::min(options_.batchWindowMs,
+                             max_batch_window_ms)),
                 [this] {
                     return stopping_ || draining_ ||
                            underPressureLocked();

@@ -64,6 +64,12 @@
 
 namespace cminer::serve {
 
+/**
+ * Upper bound on ServerOptions::batchWindowMs: the batcher's wait is
+ * converted to integer nanoseconds, which a larger window overflows.
+ */
+inline constexpr double max_batch_window_ms = 1e9;
+
 /** Serving configuration. */
 struct ServerOptions
 {

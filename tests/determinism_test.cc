@@ -3,27 +3,36 @@
  * The determinism contract of the parallel mining pipeline: every stage
  * wired onto the thread pool — SGBRT fitting/prediction, the EIR loop
  * with concurrent CV folds, KNN imputation, the cleaner batch, and the
- * pairwise interaction ranker — must produce **bit-identical** output
- * for any thread count. Each test runs a fixed-seed synthetic workload
- * at 1, 2, and 7 threads and compares results with exact (==) double
- * comparisons.
+ * pairwise interaction ranker, and the workload-family clustering —
+ * must produce **bit-identical** output for any thread count. Each
+ * test runs a fixed-seed synthetic workload at several thread counts
+ * and compares results with exact (==) double comparisons.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/cleaner.h"
+#include "core/collector.h"
 #include "core/importance.h"
 #include "core/interaction.h"
 #include "ml/dataset.h"
 #include "ml/gbrt.h"
+#include "mining/families.h"
 #include "ml/knn.h"
+#include "pmu/event.h"
+#include "store/database.h"
 #include "ts/time_series.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/suites.h"
 
 namespace {
 
@@ -306,6 +315,75 @@ TEST(Determinism, InteractionRankerBitIdenticalAcrossThreadCounts)
         expectIdentical(baseline.percents, run.percents, threads,
                         "interaction percent");
     }
+}
+
+// --- workload-family clustering -------------------------------------------
+
+/**
+ * The saved cluster artifact of one mining::clusterStore pass (DTW
+ * matrix, PAM, per-family EIR, calibration) plus every family's mined
+ * ranking, as bytes.
+ */
+std::string
+runClusterStore(std::size_t threads)
+{
+    ThreadCountGuard guard(threads);
+    const auto &catalog = pmu::EventCatalog::instance();
+    const auto &bench = workload::BenchmarkSuite::instance().byName("sort");
+    auto events = catalog.programmableEvents();
+    events.resize(24);
+    store::Database db("haswell-e");
+    core::DataCollector collector(db, catalog);
+    Rng rng(42);
+    std::vector<store::RunId> ids;
+    for (int r = 0; r < 4; ++r)
+        ids.push_back(collector.collectMlpx(bench, events, rng).id);
+
+    ml::GbrtParams params;
+    params.treeCount = 20;
+    ml::Gbrt gbrt(params);
+    const auto data =
+        core::ImportanceRanker::buildDatasetFromStore(db, ids, catalog);
+    Rng fit_rng(3);
+    gbrt.fit(data, fit_rng);
+    auto model = std::make_shared<core::MapmArtifact>();
+    model->benchmark = "sort";
+    model->events = data.featureNames();
+    model->model = std::move(gbrt);
+
+    mining::ClusterOptions options;
+    options.mine = true;
+    options.importance.minEvents = 16;
+    options.model = model;
+    auto result = mining::clusterStore(db, options);
+    EXPECT_TRUE(result.ok()) << result.status().toString();
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("cminer_determinism_clusters_" + std::to_string(threads)))
+            .string();
+    EXPECT_TRUE(
+        mining::saveClusterArtifact(result.value().artifact, path).ok());
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::filesystem::remove(path);
+    for (const auto &family : result.value().families) {
+        EXPECT_TRUE(family.mined.has_value());
+        for (const auto &fi : family.mined->ranking)
+            bytes << fi.feature << ' ' << std::hexfloat << fi.importance
+                  << '\n';
+    }
+    return bytes.str();
+}
+
+TEST(Determinism, ClusterStoreArtifactBitIdenticalAcrossThreadCounts)
+{
+    const std::string baseline = runClusterStore(1);
+    ASSERT_FALSE(baseline.empty());
+    for (std::size_t threads : {2, 8})
+        EXPECT_EQ(runClusterStore(threads), baseline)
+            << "diverged at " << threads << " threads";
 }
 
 } // namespace

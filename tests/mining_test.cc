@@ -28,6 +28,7 @@
 #include "core/importance.h"
 #include "mining/anomaly.h"
 #include "mining/distance.h"
+#include "mining/families.h"
 #include "mining/kmedoids.h"
 #include "ml/dataset.h"
 #include "ml/gbrt.h"
@@ -537,9 +538,10 @@ struct ScorerBundle
 };
 
 /**
- * Build a store of train_count + test_count clean synthetic runs,
- * fit a MAPM on the training runs, cluster their signatures into two
- * families, and calibrate the anomaly thresholds.
+ * Build a store of train_count clean synthetic runs, fit a MAPM on
+ * them, cluster their signatures into two families and calibrate the
+ * anomaly thresholds (mining::clusterStore), then add test_count
+ * held-out runs from the same stream.
  */
 ScorerBundle
 buildScorerBundle(std::size_t train_count, std::size_t test_count,
@@ -547,19 +549,12 @@ buildScorerBundle(std::size_t train_count, std::size_t test_count,
 {
     ScorerBundle bundle;
     Rng rng(seed);
-    for (std::size_t r = 0; r < train_count + test_count; ++r)
+    for (std::size_t r = 0; r < train_count; ++r)
         addSyntheticRun(bundle.db, rng);
-    const auto all = bundle.db.findRuns("toy", "mlpx");
-    bundle.trainIds.assign(all.begin(),
-                           all.begin() +
-                               static_cast<std::ptrdiff_t>(train_count));
-    bundle.testIds.assign(all.begin() +
-                              static_cast<std::ptrdiff_t>(train_count),
-                          all.end());
+    bundle.trainIds = bundle.db.findRuns("toy", "mlpx");
 
-    const auto &catalog = pmu::EventCatalog::instance();
     const auto data = core::ImportanceRanker::buildDatasetFromStore(
-        bundle.db, bundle.trainIds, catalog);
+        bundle.db, bundle.trainIds, pmu::EventCatalog::instance());
     ml::GbrtParams params;
     params.treeCount = 40;
     ml::Gbrt gbrt(params);
@@ -575,45 +570,24 @@ buildScorerBundle(std::size_t train_count, std::size_t test_count,
     bundle.model = std::make_shared<const core::MapmArtifact>(
         std::move(artifact));
 
-    const auto snap = bundle.db.snapshot();
-    mining::SignatureOptions sig_options;
-    sig_options.length = 64;
-    std::vector<std::vector<double>> signatures;
-    for (const auto id : bundle.trainIds)
-        signatures.push_back(
-            mining::runSignature(snap, id, sig_options));
-    const auto matrix =
-        mining::dtwDistanceMatrix(signatures, sig_options);
-    mining::KMedoidsOptions cluster_options;
-    cluster_options.k = 2;
-    Rng cluster_rng(21);
-    const auto families = mining::kMedoids(
-        matrix, signatures.size(), cluster_options, cluster_rng);
-
-    mining::ClusterArtifact clusters;
-    clusters.benchmark = "toy";
-    clusters.microarch = "haswell-e";
-    clusters.signature = sig_options;
-    std::vector<std::size_t> member_counts(families.medoids.size(), 0);
-    for (const std::size_t slot : families.assignment)
-        ++member_counts[slot];
-    for (std::size_t f = 0; f < families.medoids.size(); ++f) {
-        mining::ClusterFamily family;
-        family.medoidRun = static_cast<std::uint64_t>(
-            bundle.trainIds[families.medoids[f]]);
-        family.program = "toy";
-        family.memberCount = member_counts[f];
-        family.signature = signatures[families.medoids[f]];
-        clusters.families.push_back(std::move(family));
-    }
-
-    auto calibrated = mining::AnomalyScorer::calibrate(
-        bundle.model, std::move(clusters), snap, bundle.trainIds,
-        catalog);
-    EXPECT_TRUE(calibrated.ok()) << calibrated.status().toString();
-    bundle.clusters = calibrated.value().clusters();
+    mining::ClusterOptions options;
+    options.signature.length = 64;
+    options.kmedoids.k = 2;
+    options.seed = 21;
+    options.model = bundle.model;
+    auto clustered = mining::clusterStore(bundle.db, options);
+    EXPECT_TRUE(clustered.ok()) << clustered.status().toString();
+    EXPECT_EQ(clustered.value().runs, bundle.trainIds);
+    bundle.clusters = clustered.value().artifact;
     bundle.scorer = std::make_shared<const mining::AnomalyScorer>(
-        std::move(calibrated).value());
+        bundle.model, bundle.clusters);
+
+    for (std::size_t r = 0; r < test_count; ++r)
+        addSyntheticRun(bundle.db, rng);
+    const auto all = bundle.db.findRuns("toy", "mlpx");
+    bundle.testIds.assign(all.begin() +
+                              static_cast<std::ptrdiff_t>(train_count),
+                          all.end());
     return bundle;
 }
 
@@ -711,6 +685,82 @@ TEST(AnomalyScorer, RoundTripsThroughCheckpointBitIdentical)
         EXPECT_EQ(a.value().familyIndex, b.value().familyIndex);
     }
     std::filesystem::remove(path);
+}
+
+// --- clusterStore and the scorer loader -----------------------------------
+
+TEST(ClusterStore, SkipsRunsWithoutTheSignatureEventAndNeedsTwo)
+{
+    store::Database db("haswell-e");
+    Rng rng(5);
+    for (int r = 0; r < 3; ++r)
+        addSyntheticRun(db, rng);
+    db.addRun("toy", "synthetic", "mlpx", 10.0,
+              {ts::TimeSeries("FA", std::vector<double>(4, 1.0), 10.0)});
+
+    mining::ClusterOptions options;
+    options.signature.length = 32;
+    auto clustered = mining::clusterStore(db, options);
+    ASSERT_TRUE(clustered.ok()) << clustered.status().toString();
+    const auto &result = clustered.value();
+    EXPECT_EQ(result.runs.size(), 3u);
+    EXPECT_EQ(result.skipped, 1u);
+    EXPECT_TRUE(std::is_sorted(result.runs.begin(), result.runs.end()));
+    ASSERT_EQ(result.families.size(), result.artifact.families.size());
+    std::size_t members = 0;
+    for (std::size_t f = 0; f < result.families.size(); ++f) {
+        members += result.artifact.families[f].memberCount;
+        EXPECT_EQ(result.families[f].programs.at("toy"),
+                  result.artifact.families[f].memberCount);
+        EXPECT_FALSE(result.families[f].mined.has_value());
+    }
+    EXPECT_EQ(members, 3u);
+    EXPECT_EQ(result.artifact.benchmark, "toy");
+    // No model: the artifact stays uncalibrated.
+    EXPECT_EQ(result.artifact.residualZThreshold, 0.0);
+
+    options.mode = "ocoe";
+    auto none = mining::clusterStore(db, options);
+    ASSERT_FALSE(none.ok());
+    EXPECT_EQ(none.status().code(), util::StatusCode::DataError);
+}
+
+TEST(ScorerLoader, ParsesSpecsAndRefusesUncalibratedArtifacts)
+{
+    auto named = mining::parseScorerSpec("sort=m.ckpt:c.ckpt");
+    ASSERT_TRUE(named.ok());
+    EXPECT_EQ(named.value().name, "sort");
+    EXPECT_EQ(named.value().modelPath, "m.ckpt");
+    EXPECT_EQ(named.value().clusterPath, "c.ckpt");
+    auto unnamed = mining::parseScorerSpec("a=b/m.ckpt:c.ckpt");
+    ASSERT_TRUE(unnamed.ok());
+    EXPECT_EQ(unnamed.value().name, "a");
+    EXPECT_EQ(mining::parseScorerSpec("m.ckpt:c.ckpt").value().name, "");
+    for (const char *bad : {"m.ckpt", ":c.ckpt", "m.ckpt:", "n=m.ckpt"})
+        EXPECT_FALSE(mining::parseScorerSpec(bad).ok()) << bad;
+
+    const auto bundle = buildScorerBundle(4, 0);
+    const std::string model_path = tmpPath("loader_model.ckpt");
+    const std::string cluster_path = tmpPath("loader_clusters.ckpt");
+    ASSERT_TRUE(core::saveMapmArtifact(*bundle.model, model_path).ok());
+    ASSERT_TRUE(
+        mining::saveClusterArtifact(bundle.clusters, cluster_path).ok());
+    auto loaded = mining::loadScorer(model_path, cluster_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded.value().clusters().residualZThreshold,
+              bundle.clusters.residualZThreshold);
+
+    auto uncalibrated = bundle.clusters;
+    uncalibrated.residualZThreshold = 0.0;
+    ASSERT_TRUE(
+        mining::saveClusterArtifact(uncalibrated, cluster_path).ok());
+    auto refused = mining::loadScorer(model_path, cluster_path);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_NE(refused.status().message().find("uncalibrated"),
+              std::string::npos);
+    EXPECT_FALSE(mining::loadScorer(model_path, tmpPath("none")).ok());
+    std::filesystem::remove(model_path);
+    std::filesystem::remove(cluster_path);
 }
 
 // --- serve score protocol -------------------------------------------------
